@@ -64,4 +64,32 @@ object Stabilizer {
       acc.filter(c => p.getOrElse(c, None).contains(c))
     }
   }
+
+  /** Push a selection that reads only `cols` (for instance the partition
+    * test `hash(c) mod n = k`) down the closed term `t`, as far as the
+    * filter-pushing rules allow: through filters, renames,
+    * anti-projections, unions, the left side of an antijoin, every join
+    * side that holds all of `cols`, and into the constant part of a
+    * fixpoint on which all of `cols` are stable (the licence of
+    * property (i) above). Each subterm `u` where the selection stops is
+    * replaced by `stop(u, cs)`, where `cs` are `cols` as named at `u`.
+    */
+  def pushSelection(t: Term, cols: Seq[String], cat: Catalog)(stop: (Term, Seq[String]) => Term): Term = {
+    def holds(u: Term, cs: Seq[String]): Boolean = cs.toSet.subsetOf(Analysis.sort(u, cat))
+    def go(u: Term, cs: Seq[String]): Term = u match {
+      case Filter(c, s)     => Filter(c, go(s, cs))
+      case AntiProj(c, s)   => AntiProj(c, go(s, cs))
+      case Rename(f, to, s) => Rename(f, to, go(s, cs.map(c => if (c == to) f else c)))
+      case Union(l, r)      => Union(go(l, cs), go(r, cs))
+      case Antijoin(l, r)   => Antijoin(go(l, cs), r)
+      case Join(l, r) =>
+        val (inL, inR) = (holds(l, cs), holds(r, cs))
+        if (inL || inR) Join(if (inL) go(l, cs) else l, if (inR) go(r, cs) else r)
+        else stop(u, cs)
+      case fix @ Fix(x, body) if cs.toSet.subsetOf(stableCols(fix, cat)) =>
+        Fix(x, Term.unionAll(Term.unionBranches(body).map(b => if (b.usesRec(x)) b else go(b, cs))))
+      case _ => stop(u, cs)
+    }
+    go(t, cols)
+  }
 }

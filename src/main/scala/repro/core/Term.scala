@@ -66,6 +66,25 @@ sealed trait Term {
   /** True iff the recursive variable `x` occurs free in this term. */
   def usesRec(x: String): Boolean = freeRecVars.contains(x)
 
+  /** This node with `f` applied to each of its direct subterms. */
+  def mapChildren(f: Term => Term): Term = this match {
+    case Rel(_) | RecVar(_) => this
+    case Filter(c, t)       => Filter(c, f(t))
+    case Join(l, r)         => Join(f(l), f(r))
+    case Antijoin(l, r)     => Antijoin(f(l), f(r))
+    case Union(l, r)        => Union(f(l), f(r))
+    case AntiProj(c, t)     => AntiProj(c, f(t))
+    case Rename(a, b, t)    => Rename(a, b, f(t))
+    case Fix(x, body)       => Fix(x, f(body))
+  }
+
+  /** Direct subterms, left to right. */
+  def children: List[Term] = {
+    val b = List.newBuilder[Term]
+    mapChildren { c => b += c; c }
+    b.result()
+  }
+
   /** Every column name mentioned anywhere in the term (including
     * intermediate names introduced by renames). Used to pick fresh names.
     */

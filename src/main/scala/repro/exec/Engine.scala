@@ -59,9 +59,14 @@ final class MuRaEngine(val spark: SparkSession,
   def execConfig: ExecConfig =
     ExecConfig(cfg.plan, cfg.nPartitions, cfg.maxIters, semiNaive = cfg.semiNaive)
 
+  /** Base relations broadcast to `P_plw^s` tasks, shared by every query
+    * of this engine; each is collected on first use, not in [[warmup]].
+    */
+  val broadcasts: Broadcasts = new Broadcasts(spark, catalog, execConfig.broadcastThreshold)
+
   /** Execute an (already optimized) plan. */
   def execute(plan: Term): DataFrame = {
-    val df = new Executor(spark, catalog, execConfig).eval(plan)
+    val df = new Executor(spark, catalog, execConfig, broadcasts).eval(plan)
     df.select(df.columns.sorted.map(col): _*)
   }
 

@@ -1,17 +1,20 @@
 package repro.exec
 
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{broadcast, col, lit}
+import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
 import java.sql.DriverManager
+import scala.collection.mutable
 import repro.core._
 import repro.core.Analysis.Catalog
 
 /** Which physical plan to use for fixpoints (Sec. IV).
   *
   *  - [[PlanChoice.Auto]]: the paper's selection rule — if the fixpoint
-  *    has a stable column, repartition the constant part by it and run
-  *    `P_plw`; otherwise run `P_gld`.
+  *    has a stable column, partition by it and run `P_plw^s`; otherwise
+  *    run `P_gld`.
   *  - The `Force*` choices pin a plan (used for the Fig. 7 / Fig. 9
   *    ablations).
   */
@@ -27,7 +30,10 @@ final case class ExecConfig(
     plan: PlanChoice = PlanChoice.Auto,
     nPartitions: Int = 16,
     maxIters: Int = 100000,
-    /** Broadcast φ's constant relations in P_gld joins when known small. */
+    /** Largest base relation, in rows, that `P_plw^s` collects to the
+      * driver and broadcasts; a fixpoint that reads a larger one runs
+      * `P_gld` instead (see [[Broadcasts]]).
+      */
     broadcastThreshold: Long = 4000000L,
     /** Semi-naive (differential) iteration: φ applied to the new tuples
       * only (Algorithm 1). Disabled for the Myria-lite baseline to model
@@ -36,11 +42,51 @@ final case class ExecConfig(
     semiNaive: Boolean = true,
 )
 
+/** Base relations collected to the driver and broadcast to `P_plw^s`
+  * tasks: each at most once, when first needed, and only when it has at
+  * most `maxRows` rows. [[refused]] records why the others were not.
+  */
+final class Broadcasts(spark: SparkSession, catalog: Map[String, DataFrame], maxRows: Long) {
+  private val cache = mutable.HashMap.empty[String, Either[String, Broadcast[LocalRel]]]
+
+  def apply(name: String): Either[String, Broadcast[LocalRel]] = synchronized {
+    cache.getOrElseUpdate(name, {
+      val df = catalog.getOrElse(name, throw MuRaError(s"unbound relation $name"))
+      val rows = df.limit(math.min(maxRows + 1, Int.MaxValue.toLong).toInt).collect()
+      if (rows.length > maxRows) Left(s"$name has more than $maxRows rows (broadcastThreshold)")
+      else Right(spark.sparkContext.broadcast(
+        LocalRel(df.columns.toVector, rows.toVector.map(_.toSeq.toVector))))
+    })
+  }
+
+  def refused: Map[String, String] = synchronized {
+    cache.collect { case (n, Left(why)) => n -> why }.toMap
+  }
+}
+
+/** The `P_plw^s` partition a row belongs to, from the values of its
+  * partition columns. Task-side selections and exchanges both use it, so
+  * an exchanged row lands in the task whose selection it passes.
+  */
+private[exec] object Bucket {
+  def of(values: Seq[Any], n: Int): Int = Math.floorMod(values.hashCode, n)
+
+  /** Routes a record keyed by its bucket to that partition. */
+  final class Partitioner(n: Int) extends org.apache.spark.Partitioner {
+    def numPartitions: Int = n
+    def getPartition(key: Any): Int = key.asInstanceOf[Int]
+  }
+}
+
 /** Term → DataFrame evaluation. Non-recursive operators map directly to
   * Dataset operations (optimized by Catalyst, as in Sec. IV); fixpoints
   * dispatch to one of the physical plans below.
   */
-final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig) {
+final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig,
+                     val broadcasts: Broadcasts) {
+
+  def this(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig) =
+    this(spark, env, cfg, new Broadcasts(spark, env, cfg.broadcastThreshold))
 
   private val cat: Catalog = env.map { case (n, df) => n -> df.columns.toSet }
 
@@ -59,8 +105,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       val dl = evalRec(l, rec); val dr = evalRec(r, rec)
       val common = dl.columns.toSet intersect dr.columns.toSet
       if (common.nonEmpty) dl.join(dr, common.toSeq.sorted, "left_anti")
-      else if (dr.isEmpty) dl
-      else dl.limit(0)
+      else dl.join(dr.limit(1), lit(true), "left_anti") // l when r is empty, else ∅
     case Union(l, r) =>
       evalRec(l, rec).unionByName(evalRec(r, rec)).distinct()
     case AntiProj(c, s) => evalRec(s, rec).drop(c).distinct()
@@ -72,27 +117,37 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   // Fixpoint dispatch (the PhysicalPlanGenerator of Sec. IV-B)
   // -------------------------------------------------------------------
 
-  private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame = {
-    val fullCat = cat ++ rec.map { case (x, df) => s"__rec_$x" -> df.columns.toSet }
-    val (constT, varB) = Analysis.decompose(fix, cat)
-    val rDf = evalRec(constT, rec).distinct()
-    if (varB.isEmpty) return rDf
-    // Materialize constant subterms of φ that contain fixpoints so they
-    // are computed once, not per iteration / per worker.
-    val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
-    val phi = Term.unionAll(phiBranches)
-    val stable = Stabilizer.stableCols(fix, cat).toSeq.sorted
-    val _ = fullCat
-    cfg.plan match {
-      case PlanChoice.Auto =>
-        if (stable.nonEmpty) pPlwS(rDf, fix.x, phi, hoisted, stable, finalDistinct = false)
-        else pGld(rDf, fix.x, phi, hoisted)
-      case PlanChoice.ForceGld => pGld(rDf, fix.x, phi, hoisted)
-      case PlanChoice.ForcePlwS =>
-        pPlwS(rDf, fix.x, phi, hoisted, stable, finalDistinct = stable.isEmpty)
-      case PlanChoice.ForcePlwPg =>
-        pPlwPg(rDf, fix.x, phiBranches, hoisted, stable, finalDistinct = stable.isEmpty)
+  private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame =
+    if (inRegion(fix)) {
+      val (cols, rows) = region(fix)
+      spark.createDataFrame(rows.map(Row.fromSeq), schemaOf(fix, cols))
+    } else {
+      val (constT, varB) = Analysis.decompose(fix, cat)
+      val rDf = evalRec(constT, rec).distinct()
+      if (varB.isEmpty) rDf
+      else {
+        // Materialize constant subterms of φ that contain fixpoints so they
+        // are computed once, not per iteration / per worker.
+        val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
+        if (cfg.plan == PlanChoice.ForcePlwPg) {
+          val stable = Stabilizer.stableCols(fix, cat).toSeq.sorted
+          pPlwPg(rDf, fix.x, phiBranches, hoisted, stable, finalDistinct = stable.isEmpty)
+        } else pGld(rDf, fix.x, Term.unionAll(phiBranches), hoisted)
+      }
     }
+
+  /** Whether `fix` runs as a `P_plw^s` region: under `ForcePlwS` always,
+    * under `Auto` when it has a stable column, and in both cases only
+    * when every base relation it reads may be broadcast; otherwise it
+    * runs `P_gld`, and [[Broadcasts.refused]] holds the reason.
+    */
+  private def inRegion(fix: Fix): Boolean = {
+    val planned = cfg.plan match {
+      case PlanChoice.ForcePlwS => true
+      case PlanChoice.Auto      => Stabilizer.stableCols(fix, cat).nonEmpty
+      case _                    => false
+    }
+    planned && fix.freeRels.forall(n => broadcasts(n).isRight)
   }
 
   /** Replace maximal constant subterms of φ that contain a fixpoint by
@@ -101,30 +156,13 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   private def hoistConstants(branches: List[Term], x: String,
                              rec: Map[String, DataFrame]): (List[Term], Map[String, DataFrame]) = {
     var extra = Map.empty[String, DataFrame]
-    def containsFix(t: Term): Boolean = t match {
-      case Fix(_, _)       => true
-      case Rel(_) | RecVar(_) => false
-      case Filter(_, s)    => containsFix(s)
-      case AntiProj(_, s)  => containsFix(s)
-      case Rename(_, _, s) => containsFix(s)
-      case Join(l, r)      => containsFix(l) || containsFix(r)
-      case Antijoin(l, r)  => containsFix(l) || containsFix(r)
-      case Union(l, r)     => containsFix(l) || containsFix(r)
-    }
+    def containsFix(t: Term): Boolean = t.isInstanceOf[Fix] || t.children.exists(containsFix)
     def go(t: Term): Term =
       if (!t.usesRec(x) && containsFix(t)) {
         val name = s"__hoist_${extra.size}"
         extra += name -> evalRec(t, rec).localCheckpoint(true)
         Rel(name)
-      } else t match {
-        case Filter(c, s)    => Filter(c, go(s))
-        case AntiProj(c, s)  => AntiProj(c, go(s))
-        case Rename(f, o, s) => Rename(f, o, go(s))
-        case Join(l, r)      => Join(go(l), go(r))
-        case Antijoin(l, r)  => Antijoin(go(l), go(r))
-        case Union(l, r)     => Union(go(l), go(r))
-        case other           => other
-      }
+      } else t.mapChildren(go)
     (branches.map(go), extra)
   }
 
@@ -142,12 +180,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   def pGld(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame]): DataFrame = {
     val cols = rDf.columns.toSeq
     val e = envWith(extra)
-    // φ's constant relations are identical across iterations; if small,
-    // hint a broadcast join to avoid re-shuffling them each step.
-    val relEnv: Map[String, DataFrame] = phi.freeRels.map { n =>
-      val df = e(n)
-      n -> df
-    }.toMap
+    val relEnv: Map[String, DataFrame] = phi.freeRels.map(n => n -> e(n)).toMap
     val sub = new Executor(spark, relEnv, cfg)
     var total = rDf.localCheckpoint(true)
     var delta = total
@@ -173,46 +206,113 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   }
 
   // -------------------------------------------------------------------
-  // P_plw^s: parallel local loops on the workers, SetRDD-style
-  // (Sec. IV-A2 / IV-B)
+  // P_plw^s: region execution, parallel local loops on the workers,
+  // SetRDD-style (Sec. IV-A2 / IV-B)
   // -------------------------------------------------------------------
 
-  /** Fixpoint splitting (Prop. 3): repartition the constant part — by the
-    * stable column(s) when they exist (then the per-worker fixpoints are
-    * provably disjoint and no final distinct is needed), by row hash
-    * otherwise (then one final distinct merges the local results). Each
-    * partition runs its own semi-naive loop against broadcast copies of
-    * φ's constant relations: broadcast joins plus partition-wise
-    * union/set-difference — the SetRDD technique of BigDatalog. No data
-    * crosses the cluster during the recursion.
+  /** Run `fix` as one region: a single task set whose task `k` evaluates,
+    * with [[LocalEval]], `fix` restricted to the tuples whose partition
+    * column `c` falls in bucket `k`. The stable column `c` licenses
+    * pushing that selection into the constant part (Prop. 3) and, through
+    * [[Stabilizer.pushSelection]], on into every nested fixpoint on which
+    * `c` is stable too, so the whole chain runs in the same task and no
+    * data crosses the cluster during the recursion. The selection stops
+    *  - at a base relation (or a subterm it cannot enter): the task
+    *    evaluates that subterm against the broadcast base relations and
+    *    keeps its own bucket;
+    *  - at a nested fixpoint on which `c` is not stable: that fixpoint
+    *    runs as its own region and is exchanged into this one by the
+    *    bucket of `c`.
+    * A nested fixpoint the selection never reaches (in φ, on a join side
+    * without `c`) runs as its own region and is sent whole to every task.
+    * With a stable column the tasks' results are disjoint; without one
+    * (`ForcePlwS`) the partition key is the whole row and a final
+    * distinct merges them.
+    *
+    * @return the output columns (sorted) and the rows in that order
     */
-  def pPlwS(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame],
-            stable: Seq[String], finalDistinct: Boolean): DataFrame = {
-    val schema = rDf.schema
-    val colsVec = schema.fieldNames.toVector
-    val e = envWith(extra)
-    val localRels: Map[String, LocalRel] = phi.freeRels.map { n =>
-      val df = e(n)
-      n -> LocalRel(df.columns.toVector, df.collect().toVector.map(r => r.toSeq.toVector))
-    }.toMap
-    val bc = spark.sparkContext.broadcast(localRels)
-    val xName = x
-    val phiSer = phi
+  private[exec] def region(fix: Fix): (Vector[String], RDD[Vector[Any]]) = {
+    val n = cfg.nPartitions
     val maxIters = cfg.maxIters
-    val parted =
-      if (stable.nonEmpty) rDf.repartition(cfg.nPartitions, stable.map(col): _*)
-      else rDf.repartition(cfg.nPartitions)
-    val rowRdd = parted.rdd.mapPartitions { it =>
-      val rows = it.map(_.toSeq.toVector).toVector.distinct
-      if (rows.isEmpty) Iterator.empty
-      else {
-        val r0 = LocalRel(colsVec, rows)
-        val res = LocalEval.fixpoint(xName, r0, phiSer, bc.value, Map.empty, maxIters)
-        res.aligned(colsVec).rows.iterator.map(Row.fromSeq)
+    val cols = Analysis.fixSort(fix, cat).toVector.sorted
+    val stable = Stabilizer.stableCols(fix, cat).toVector.sorted
+    val key = if (stable.nonEmpty) stable.take(1) else cols
+
+    // Inputs, each bound to a fresh name in the task: (term, columns whose
+    // bucket selects the task's rows; None = every row).
+    val inputs = mutable.LinkedHashMap.empty[(Term, Option[Seq[String]]), String]
+    def input(t: Term, on: Option[Seq[String]]): Term =
+      Rel(inputs.getOrElseUpdate((t, on), s"__in_${inputs.size}"))
+    def reached(t: Term): Boolean = t.freeRels.exists(r => inputs.valuesIterator.contains(r))
+    def localize(t: Term): Term = t match {
+      case f: Fix if !reached(f) => input(f, None)
+      case _                     => t.mapChildren(localize)
+    }
+    val branches = Term.unionBranches(fix.body).map { b =>
+      if (b.usesRec(fix.x)) b
+      else Stabilizer.pushSelection(b, key, cat) {
+        case (f: Fix, cs) => input(f, Some(cs))
+        case (u, cs)      => input(localize(u), Some(cs))
       }
     }
-    val df = spark.createDataFrame(rowRdd, schema)
-    if (finalDistinct) df.distinct() else df
+    val local = localize(Fix(fix.x, Term.unionAll(branches)))
+
+    val entries = inputs.toVector.map { case ((t, on), name) => (t, on, name) }
+    val slices = entries.collect { case (t, Some(cs), name) if !t.isInstanceOf[Fix] => (name, t, cs) }
+    val fixes = entries.collect { case (f: Fix, on, name) => (name, on, fixRows(f)) }
+    val routed = fixes.zipWithIndex.map { case ((_, on, (fCols, rows)), i) =>
+      on.map(_.map(fCols.indexOf)) match {
+        case Some(idx) => rows.map(r => (Bucket.of(idx.map(r), n), (i, r)))
+        case None      => rows.flatMap(r => (0 until n).map(k => (k, (i, r))))
+      }
+    }
+    val feed =
+      if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Vector[Any]))], n)
+      else spark.sparkContext.union(routed).partitionBy(new Bucket.Partitioner(n))
+    val fixCols = fixes.map { case (name, _, (fCols, _)) => (name, fCols) }
+    val bases = (local.freeRels ++ slices.flatMap(_._2.freeRels)).filter(env.contains)
+      .map(b => b -> broadcasts(b).fold(why => throw MuRaError(why), identity)).toMap
+
+    val rows = feed.mapPartitionsWithIndex { (k, it) =>
+      val got = it.toVector.groupMap(_._2._1)(_._2._2)
+      var taskEnv = bases.map { case (b, bc) => b -> bc.value }
+      fixCols.zipWithIndex.foreach { case ((name, fCols), i) =>
+        taskEnv += name -> LocalRel(fCols, got.getOrElse(i, Vector.empty))
+      }
+      slices.foreach { case (name, t, cs) =>
+        val r = LocalEval.eval(t, taskEnv, maxIters = maxIters)
+        val idx = cs.map(r.colIdx)
+        taskEnv += name -> LocalRel(r.cols, r.rows.filter(row => Bucket.of(idx.map(row), n) == k))
+      }
+      LocalEval.eval(local, taskEnv, maxIters = maxIters).aligned(cols).rows.iterator
+    }
+    (cols, if (stable.nonEmpty) rows else rows.distinct(n))
+  }
+
+  /** The rows of a nested fixpoint that feeds a region, in sorted column order. */
+  private def fixRows(fix: Fix): (Vector[String], RDD[Vector[Any]]) =
+    if (inRegion(fix)) region(fix)
+    else {
+      val df = evalFix(fix, Map.empty)
+      val cols = df.columns.toVector.sorted
+      (cols, df.select(cols.map(col): _*).rdd.map(_.toSeq.toVector))
+    }
+
+  /** Spark schema of a fixpoint's output columns, from the base relations. */
+  private def schemaOf(fix: Fix, cols: Vector[String]): StructType = {
+    def types(t: Term): Map[String, DataType] = t match {
+      case Rel(n)           => env(n).schema.fields.map(f => f.name -> f.dataType).toMap
+      case Rename(f, to, s) => val m = types(s); m - f + (to -> m(f))
+      case AntiProj(c, s)   => types(s) - c
+      case Join(l, r)       => types(l) ++ types(r)
+      case Filter(_, s)     => types(s)
+      case Antijoin(l, _)   => types(l)
+      case Union(l, _)      => types(l)
+      case f: Fix           => types(Analysis.decompose(f, cat)._1)
+      case RecVar(x)        => throw MuRaError(s"unbound recursive variable $x")
+    }
+    val ty = types(fix)
+    StructType(cols.map(c => StructField(c, ty(c), nullable = true)))
   }
 
   // -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 package repro.exec
 
-import repro.{Oracle, SparkSpec, SparkTestData}
+import repro.{Oracle, SparkJobs, SparkSpec, SparkTestData}
 import repro.SparkTestData._
 import repro.core._
 import repro.core.TestGraphs._
@@ -37,6 +37,16 @@ class ExecutorSpec extends SparkSpec {
   test("antijoin on Datasets") {
     val df = exec(PlanChoice.Auto).eval(Antijoin(Rel("E"), Rel("S")))
     assert(toPairs(df) == paperE -- paperS)
+  }
+
+  test("antijoin with no common columns builds no Spark job: empty right keeps left, else empty") {
+    val right = Rename("src", "a", Rename("trg", "b", Rel("S")))
+    val empty = Filter(EqConst("a", -1L), right)
+    val ex = exec(PlanChoice.Auto)
+    val (keep, jobs) = SparkJobs.during(spark)(ex.eval(Antijoin(Rel("E"), empty)))
+    assert(jobs == 0)
+    assert(toPairs(keep) == paperE)
+    assert(toPairs(ex.eval(Antijoin(Rel("E"), right))).isEmpty)
   }
 
   test("union deduplicates on Datasets") {

@@ -1,0 +1,141 @@
+package repro.exec
+
+import java.util.concurrent.Executors
+import org.apache.spark.sql.DataFrame
+import scala.collection.mutable
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
+import repro.{SparkJobs, SparkSpec}
+import repro.core._
+import repro.graphdata.GraphData
+import repro.queries.PaperQueries
+import repro.ucrpq.Query2Mu
+
+/** Region execution of `P_plw^s`: the partition selection pushed down a
+  * fixpoint chain gives disjoint per-task results whose union is the
+  * fixpoint, on every plan the rewriter finds; nested fixpoints with
+  * another stable column are exchanged in; a base relation above
+  * `broadcastThreshold` falls back to `P_gld`; and a warm engine builds
+  * a plan without running a Spark job.
+  */
+class RegionSpec extends SparkSpec {
+
+  private val labels = Seq("a0", "a1", "a2")
+  private lazy val concatG: DataFrame =
+    GraphData.withRandomLabels(spark, GraphData.erdosRenyi(spark, 40, 0.08, seed = 5), labels, seed = 6).cache()
+  private lazy val yago = GraphData.yagoLite(spark, scale = 0.03, seed = 3)
+
+  private def yagoQuery(id: String): String = PaperQueries.yago.find(_.id == id).get.query
+
+  private def local(g: DataFrame): Map[String, LocalRel] =
+    Map(Query2Mu.GraphRel -> LocalRel(g.columns.toVector, g.collect().toVector.map(_.toSeq.toVector)))
+
+  private def rowsOf(r: LocalRel): Set[Seq[Any]] = r.aligned(r.cols.sorted).rows.map(_.toSeq).toSet
+
+  private def rowsOf(df: DataFrame): Set[Seq[Any]] = {
+    val cols = df.columns.sorted
+    df.select(cols.toSeq.map(df.col): _*).collect().map(_.toSeq).toSet
+  }
+
+  /** The outermost fixpoints of a term: those the executor starts regions at. */
+  private def outerFixes(t: Term): List[Fix] = t match {
+    case f: Fix => List(f)
+    case _      => t.children.flatMap(outerFixes)
+  }
+
+  /** Every plan of `query` on 1, 3 and 4 partitions: the result equals
+    * the unoptimised term on [[LocalEval]], and each outermost region's
+    * tasks return disjoint sets whose union is that fixpoint.
+    */
+  private def checkPlans(g: DataFrame, constants: Map[String, Any], query: String): Unit = {
+    val env = local(g)
+    val t = Query2Mu.translate(query, constants)
+    val expected = rowsOf(LocalEval.eval(t, env))
+    val cat = Map(Query2Mu.GraphRel -> g.columns.toSet)
+    val plans = Rewriter.explore(t, cat, RewriteConfig.all)
+    info(s"$query: ${plans.size} plans, ${expected.size} rows")
+    // Plans are checked on a few threads: each check is a handful of
+    // small Spark jobs, so job latency, not work, bounds the test time.
+    val pool = Executors.newFixedThreadPool(4)
+    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
+    try {
+      val checks = for (n <- Seq(1, 3, 4)) yield {
+        val ex = new Executor(spark, Map(Query2Mu.GraphRel -> g), ExecConfig(PlanChoice.Auto, n, 1000))
+        ex.broadcasts(Query2Mu.GraphRel)
+        plans.map(p => Future {
+          assert(rowsOf(ex.eval(p)) == expected, s"n=$n: ${p.pretty}")
+          outerFixes(p).filter(Stabilizer.stableCols(_, cat).nonEmpty).foreach { f =>
+            val parts = ex.region(f)._2.glom().collect().map(_.toSet)
+            assert(parts.length == n)
+            val union = parts.foldLeft(Set.empty[Vector[Any]])(_ ++ _)
+            assert(parts.map(_.size).sum == union.size, s"n=$n: tasks overlap on ${f.pretty}")
+            assert(union.map(_.toSeq) == rowsOf(LocalEval.eval(f, env)), s"n=$n: ${f.pretty}")
+          }
+        })
+      }
+      Await.result(Future.sequence(checks.flatten), 10.minutes)
+    } finally pool.shutdown()
+  }
+
+  test("concat n2: every plan, disjoint regions") {
+    checkPlans(concatG, Map.empty, PaperQueries.concatClosure(labels.take(2)))
+  }
+
+  test("concat n3: every plan, disjoint regions") {
+    checkPlans(concatG, Map.empty, PaperQueries.concatClosure(labels))
+  }
+
+  for (q <- Seq("Q13", "Q21", "Q25")) {
+    test(s"Yago-lite $q: every plan, disjoint regions") {
+      checkPlans(yago.edges, yago.constants, yagoQuery(q))
+    }
+  }
+
+  /** The subterms where the partition selection of `plan`'s outermost
+    * fixpoint stops.
+    */
+  private def stops(plan: Term, cat: Analysis.Catalog): Seq[Term] = {
+    val fix = outerFixes(plan).head
+    val key = Stabilizer.stableCols(fix, cat).toSeq.sorted.take(1)
+    val found = mutable.ArrayBuffer.empty[Term]
+    Term.unionBranches(fix.body).filterNot(_.usesRec(fix.x)).foreach { b =>
+      Stabilizer.pushSelection(b, key, cat) { (u, _) => found += u; u }
+    }
+    found.toSeq
+  }
+
+  test("concat n3 and Q25: the chosen plan exchanges the inner closure into one region") {
+    val concat = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+    val q25 = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> yago.edges), yago.constants, 4)
+    for ((eng, q) <- Seq(concat -> PaperQueries.concatClosure(labels), q25 -> yagoQuery("Q25"))) {
+      val plan = eng.plan(q)
+      val fixStops = stops(plan, eng.cat).collect { case f: Fix => f }
+      assert(fixStops.size == 1, plan.pretty)
+      assert(!Stabilizer.stableCols(fixStops.head, eng.cat).isEmpty)
+      assert(rowsOf(eng.execute(plan)) == rowsOf(LocalEval.eval(Query2Mu.translate(q, eng.constants),
+        local(eng.catalog(Query2Mu.GraphRel)))))
+    }
+  }
+
+  test("a base relation above broadcastThreshold falls back to P_gld") {
+    val q = PaperQueries.concatClosure(labels)
+    val t = Query2Mu.translate(q, Map.empty)
+    val plan = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4).optimize(t)
+    val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG),
+      ExecConfig(PlanChoice.Auto, 4, 1000, broadcastThreshold = 5))
+    assert(rowsOf(ex.eval(plan)) == rowsOf(LocalEval.eval(t, local(concatG))))
+    assert(ex.broadcasts.refused.keySet == Set(Query2Mu.GraphRel))
+  }
+
+  test("concat n3: no Spark job while building, at most two to count; broadcast once, not in warmup") {
+    val eng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+    eng.warmup()
+    val plan = eng.plan(PaperQueries.concatClosure(labels))
+    val (_, firstBuild) = SparkJobs.during(spark)(eng.execute(plan))
+    assert(firstBuild > 0, "the first query collects the base relation")
+    val (df, build) = SparkJobs.during(spark)(eng.execute(plan))
+    val (_, count) = SparkJobs.during(spark)(df.count())
+    assert(build == 0)
+    assert(count <= 2, s"$count jobs")
+  }
+}
