@@ -1,10 +1,9 @@
 package repro.baselines
 
-import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types._
 import repro.core._
-import repro.exec.{EngineConfig, MuRaEngine, PlanChoice, SqlGen}
+import repro.exec.{DuckDb, EngineConfig, ExecConfig, MuRaEngine, PlanChoice, SqlGen}
 import repro.ucrpq.Query2Mu
 
 /** Centralized μ-RA baseline ([11]): the same logical optimizations as
@@ -19,7 +18,7 @@ final class CentralizedMuRA(spark: SparkSession,
   val name = "Centralized mu-RA"
 
   private val planner = new MuRaEngine(spark, catalog, constants,
-    EngineConfig("centralized-planner", RewriteConfig.all, PlanChoice.ForceGld))
+    EngineConfig("centralized-planner", RewriteConfig.all, ExecConfig(PlanChoice.ForceGld)))
 
   /** Force planner statistics collection before timing (see MuRaEngine). */
   def warmup(): Unit = planner.warmup()
@@ -28,25 +27,14 @@ final class CentralizedMuRA(spark: SparkSession,
     val best = planner.optimize(t)
     val relNames = best.freeRels.toSeq.sorted
     val gen = new SqlGen(
-      relTable = relNames.map(n => n -> s"rel_${n.replaceAll("[^A-Za-z0-9_]", "_")}").toMap,
+      relTable = relNames.map(n => n -> DuckDb.table(n)).toMap,
       relCols = relNames.map(n => n -> catalog(n).columns.toSeq).toMap)
     val (sql, cols) = gen.select(best, Map.empty)
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
+    DuckDb.withConnection { conn =>
       relNames.foreach { n =>
         val df = catalog(n)
-        val ddl = df.schema.fields
-          .map(f => s""""${f.name}" ${duckType(f.dataType)}""").mkString(", ")
-        val table = s"rel_${n.replaceAll("[^A-Za-z0-9_]", "_")}"
-        conn.createStatement.execute(s"CREATE TABLE $table ($ddl)")
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $table VALUES (${df.columns.map(_ => "?").mkString(",")})")
-        df.collect().foreach { r =>
-          r.toSeq.zipWithIndex.foreach { case (v, i) => ps.setObject(i + 1, v) }
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        DuckDb.load(conn, DuckDb.table(n), df.columns.toSeq,
+          df.schema.fields.map(f => DuckDb.duckType(f.dataType)).toSeq, df.collect().map(_.toSeq))
       }
       val rs = conn.createStatement.executeQuery(s"SELECT DISTINCT * FROM ($sql) AS q")
       val meta = rs.getMetaData
@@ -59,34 +47,12 @@ final class CentralizedMuRA(spark: SparkSession,
         }
         StructField(meta.getColumnLabel(i), dt)
       }
-      val buf = Vector.newBuilder[Row]
-      while (rs.next()) {
-        buf += Row.fromSeq(fields.indices.map { i =>
-          (fields(i).dataType, rs.getObject(i + 1)) match {
-            case (LongType, v: Number)    => v.longValue()
-            case (IntegerType, v: Number) => v.intValue()
-            case (DoubleType, v: Number)  => v.doubleValue()
-            case (_, null)                => null
-            case (StringType, v)          => v.toString
-            case (_, v)                   => v
-          }
-        })
-      }
       val df = spark.createDataFrame(
-        spark.sparkContext.parallelize(buf.result(), 1), StructType(fields))
+        spark.sparkContext.parallelize(DuckDb.rows(rs, fields.map(_.dataType)), 1), StructType(fields))
       df.select(cols.map(org.apache.spark.sql.functions.col): _*)
-    } finally conn.close()
+    }
   }
 
   def runQuery(query: String): DataFrame =
     run(Query2Mu.translate(query, constants))
-
-  private def duckType(dt: DataType): String = dt match {
-    case LongType    => "BIGINT"
-    case IntegerType => "INTEGER"
-    case DoubleType  => "DOUBLE"
-    case StringType  => "VARCHAR"
-    case BooleanType => "BOOLEAN"
-    case other       => throw MuRaError(s"unsupported type for RDBMS backend: $other")
-  }
 }

@@ -26,9 +26,7 @@ object GraphXRPQ {
 
   /** NFA over the edge-label alphabet, ε-transitions already eliminated. */
   final case class Nfa(startStates: Set[Int], acceptStates: Set[Int],
-                       trans: Map[(Int, String), Set[Int]]) {
-    def startAccepts: Boolean = (startStates intersect acceptStates).nonEmpty
-  }
+                       trans: Map[(Int, String), Set[Int]])
 
   /** Thompson construction with ε-edges, then ε-closure elimination. */
   def buildNfa(p: Path): Nfa = {

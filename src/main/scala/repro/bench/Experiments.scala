@@ -2,7 +2,6 @@ package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{CentralizedMuRA, GraphXRPQ}
-import repro.core.Term
 import repro.exec.{Engines, MuRaEngine}
 import repro.graphdata.GraphData
 import repro.queries.{MuRaTerms, PaperQueries}

@@ -51,10 +51,7 @@ object Analysis {
     * against every variable-part branch (union compatibility).
     */
   def fixSort(fix: Fix, cat: Catalog, rec: Map[String, Set[String]] = Map.empty): Set[String] = {
-    val branches = Term.unionBranches(fix.body)
-    val (varB, constB) = branches.partition(_.usesRec(fix.x))
-    if (constB.isEmpty)
-      throw MuRaError(s"fixpoint has no constant part (Prop. 2 form required): ${fix.pretty}")
+    val (constB, varB) = fix.branches
     val s0 = sort(constB.head, cat, rec)
     constB.tail.foreach { b =>
       val sb = sort(b, cat, rec)
@@ -68,14 +65,12 @@ object Analysis {
   }
 
   /** Decompose a fixpoint into its constant part R and the list of
-    * variable-part branches (Prop. 2). Also verifies that each variable
-    * branch vanishes on the empty relation (φ(∅) = ∅).
+    * variable-part branches (Prop. 2, see [[Fix.branches]]). Also
+    * verifies that each variable branch vanishes on the empty relation
+    * (φ(∅) = ∅).
     */
-  def decompose(fix: Fix, cat: Catalog): (Term, List[Term]) = {
-    val branches = Term.unionBranches(fix.body)
-    val (varB, constB) = branches.partition(_.usesRec(fix.x))
-    if (constB.isEmpty)
-      throw MuRaError(s"fixpoint has no constant part: ${fix.pretty}")
+  def decompose(fix: Fix): (Term, List[Term]) = {
+    val (constB, varB) = fix.branches
     varB.foreach { b =>
       if (!vanishesOnEmpty(b, fix.x))
         throw MuRaError(s"variable part does not satisfy φ(∅)=∅: ${b.pretty}")
@@ -110,73 +105,59 @@ object Analysis {
     *    recursive variable (a strictness superset of the paper's
     *    condition, sufficient for every term the system generates).
     */
-  def checkFcond(t: Term): Unit = t match {
-    case Antijoin(l, r) =>
-      if (r.freeRecVars.nonEmpty)
+  def checkFcond(t: Term): Unit = {
+    t match {
+      case Antijoin(_, r) if r.freeRecVars.nonEmpty =>
         throw MuRaError(s"not positive: recursive variable on antijoin right side: ${t.pretty}")
-      checkFcond(l); checkFcond(r)
-    case Join(l, r) =>
-      if (l.freeRecVars.nonEmpty && r.freeRecVars.nonEmpty)
+      case Join(l, r) if l.freeRecVars.nonEmpty && r.freeRecVars.nonEmpty =>
         throw MuRaError(s"not linear: recursive variables on both join sides: ${t.pretty}")
-      checkFcond(l); checkFcond(r)
-    case Fix(x, body) =>
-      if ((body.freeRecVars - x).nonEmpty)
+      case Fix(x, body) if (body.freeRecVars - x).nonEmpty =>
         throw MuRaError(s"mutually recursive fixpoint (uses ${body.freeRecVars - x}): ${t.pretty}")
-      checkFcond(body)
-    case Filter(_, s)    => checkFcond(s)
-    case AntiProj(_, s)  => checkFcond(s)
-    case Rename(_, _, s) => checkFcond(s)
-    case Union(l, r)     => checkFcond(l); checkFcond(r)
-    case Rel(_) | RecVar(_) => ()
+      case _ => ()
+    }
+    t.children.foreach(checkFcond)
   }
 
   /** Substitute the recursive variable `x` by a term (used in tests and
     * by the merge rule's soundness argument).
     */
   def substRec(t: Term, x: String, by: Term): Term = t match {
-    case RecVar(`x`)     => by
-    case RecVar(y)       => RecVar(y)
-    case Rel(n)          => Rel(n)
-    case Filter(c, s)    => Filter(c, substRec(s, x, by))
-    case Join(l, r)      => Join(substRec(l, x, by), substRec(r, x, by))
-    case Antijoin(l, r)  => Antijoin(substRec(l, x, by), substRec(r, x, by))
-    case Union(l, r)     => Union(substRec(l, x, by), substRec(r, x, by))
-    case AntiProj(c, s)  => AntiProj(c, substRec(s, x, by))
-    case Rename(f, o, s) => Rename(f, o, substRec(s, x, by))
-    case Fix(y, body)    => if (y == x) Fix(y, body) else Fix(y, substRec(body, x, by))
+    case RecVar(`x`) => by
+    case Fix(`x`, _) => t
+    case _           => t.mapChildren(substRec(_, x, by))
   }
 
-  /** Canonical form for structural memoization and α-equivalence:
-    * recursive variable names and every column name *not* in the free
-    * interface (base-relation schemas and the output sort) are renamed to
-    * a canonical numbering in traversal order.
+  /** Canonical form for structural memoization and α-equivalence: every
+    * fixpoint binder (and free recursive variable), and every column name
+    * *not* in the free interface (base-relation schemas and the output
+    * sort), is renamed to a canonical numbering in traversal order.
+    * Binders are numbered per occurrence, so sibling fixpoints that reuse
+    * a name get distinct numbers.
     */
   def canonical(t: Term, cat: Catalog): Term = {
     val interface: Set[String] =
       t.freeRels.flatMap(cat.getOrElse(_, Set.empty[String])) ++ sort(t, cat)
     var colMap = Map.empty[String, String]
-    var recMap = Map.empty[String, String]
+    var freeRec = Map.empty[String, String]
+    var nRec = 0
     def colOf(c: String): String =
       if (interface.contains(c)) c
       else colMap.getOrElse(c, { val n = s"#c${colMap.size}"; colMap += c -> n; n })
-    def recOf(x: String): String =
-      recMap.getOrElse(x, { val n = s"#x${recMap.size}"; recMap += x -> n; n })
+    def nextRec(): String = { val n = s"#x$nRec"; nRec += 1; n }
     def condOf(c: Cond): Cond = c match {
       case EqConst(col, v) => EqConst(colOf(col), v)
       case EqCols(a, b)    => EqCols(colOf(a), colOf(b))
     }
-    def go(u: Term): Term = u match {
-      case Rel(n)          => Rel(n)
-      case RecVar(x)       => RecVar(recOf(x))
-      case Filter(c, s)    => Filter(condOf(c), go(s))
-      case Join(l, r)      => Join(go(l), go(r))
-      case Antijoin(l, r)  => Antijoin(go(l), go(r))
-      case Union(l, r)     => Union(go(l), go(r))
-      case AntiProj(c, s)  => { val s2 = go(s); AntiProj(colOf(c), s2) }
-      case Rename(f, o, s) => { val s2 = go(s); Rename(colOf(f), colOf(o), s2) }
-      case Fix(x, body)    => { val xx = recOf(x); Fix(xx, go(body)) }
+    def go(u: Term, bound: Map[String, String]): Term = u match {
+      case RecVar(x) =>
+        RecVar(bound.getOrElse(x, freeRec.getOrElse(x, { val n = nextRec(); freeRec += x -> n; n })))
+      case Fix(x, body)    => { val xx = nextRec(); Fix(xx, go(body, bound + (x -> xx))) }
+      case Filter(c, s)    => Filter(condOf(c), go(s, bound))
+      case AntiProj(c, s)  => { val s2 = go(s, bound); AntiProj(colOf(c), s2) }
+      case Rename(f, o, s) => { val s2 = go(s, bound); Rename(colOf(f), colOf(o), s2) }
+      case _               => u.mapChildren(go(_, bound))
     }
-    go(t)
+    go(t, Map.empty)
   }
 
   /** α-equivalence modulo recursive-variable names and internal

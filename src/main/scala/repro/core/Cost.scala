@@ -91,7 +91,7 @@ object Cost {
 
     case fix @ Fix(x, _) =>
       val xSort = Analysis.fixSort(fix, cat, env.recSorts)
-      val (constT, varB) = Analysis.decompose(fix, cat)
+      val (constT, varB) = Analysis.decompose(fix)
       val e0 = est(constT, stats, cat, env)
       // One φ application on the initial delta, to measure the expansion
       // ratio of a single step.

@@ -25,10 +25,6 @@ final case class LocalRel(cols: Vector[String], rows: Vector[Vector[Any]]) {
   def size: Int = rows.size
 }
 
-object LocalRel {
-  def empty(cols: Vector[String]): LocalRel = LocalRel(cols, Vector.empty)
-}
-
 /** Single-threaded semi-naive μ-RA evaluation over [[LocalRel]]s.
   *
   * This is the engine each worker task runs in the `P_plw^s` physical
@@ -49,10 +45,8 @@ object LocalEval {
     case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
     case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
 
-    case Fix(x, body) =>
-      val branches = Term.unionBranches(body)
-      val (varB, constB) = branches.partition(_.usesRec(x))
-      if (constB.isEmpty) throw MuRaError(s"fixpoint without constant part: ${t.pretty}")
+    case fix @ Fix(x, _) =>
+      val (constB, varB) = fix.branches
       val r0 = constB.map(eval(_, env, rec, maxIters)).reduceLeft { (a, b) =>
         LocalRel(a.cols, (a.rows ++ b.aligned(a.cols).rows).distinct)
       }

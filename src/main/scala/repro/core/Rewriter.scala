@@ -63,16 +63,9 @@ object Rewriter {
 
   private def normPass(t: Term, cat: Catalog, rec: RecEnv): Term = {
     val u = t match {
-      case Rel(_) | RecVar(_) => t
-      case Filter(c, s)       => Filter(c, normPass(s, cat, rec))
-      case Join(l, r)         => Join(normPass(l, cat, rec), normPass(r, cat, rec))
-      case Antijoin(l, r)     => Antijoin(normPass(l, cat, rec), normPass(r, cat, rec))
-      case Union(l, r)        => Union(normPass(l, cat, rec), normPass(r, cat, rec))
-      case AntiProj(c, s)     => AntiProj(c, normPass(s, cat, rec))
-      case Rename(f, o, s)    => Rename(f, o, normPass(s, cat, rec))
       case fix @ Fix(x, body) =>
-        val xs = Analysis.fixSort(fix, cat, rec)
-        Fix(x, normPass(body, cat, rec + (x -> xs)))
+        Fix(x, normPass(body, cat, rec + (x -> Analysis.fixSort(fix, cat, rec))))
+      case _ => t.mapChildren(normPass(_, cat, rec))
     }
     localNorm(u, cat, rec).getOrElse(u)
   }
@@ -108,7 +101,7 @@ object Rewriter {
       if (common.contains(c)) None else Some(Antijoin(AntiProj(c, l), r))
 
     // --- rename sinking into fixpoints (pure relabeling) ----------------
-    case Rename(f, to, fix @ Fix(x, body)) =>
+    case Rename(f, to, Fix(x, body)) =>
       if (!relabelSafe(body, to, cat)) None
       else {
         // If `to` is used internally in the body, relabel those uses to a
@@ -181,18 +174,18 @@ object Rewriter {
     val xSort =
       try Analysis.fixSort(fix, cat) catch { case MuRaError(_) => return None }
     if (xSort.size != 2) return None
-    val (constT, varB) =
-      try Analysis.decompose(fix, cat) catch { case MuRaError(_) | _: MatchError => return None }
+    val varB =
+      try Analysis.decompose(fix)._2 catch { case MuRaError(_) => return None }
     if (varB.size != 1) return None
     varB.head match {
       case AntiProj(k, Join(a, b)) =>
         def split(p: Term, q: Term): Option[LinearFix] = p match {
           case Rename(xc, `k`, RecVar(fix.x)) =>
             q match {
-              case Rename(ec, `k`, e) if !e.usesRec(fix.x) && e.freeRecVars.isEmpty
+              case Rename(ec, `k`, e) if e.freeRecVars.isEmpty
                   && xSort.contains(xc) && xSort.contains(ec)
                   && Analysis.sort(e, cat) == xSort =>
-                Some(LinearFix(fix.x, Term.unionBranches(constT), e, xc, ec, k, xSort))
+                Some(LinearFix(fix.x, fix.branches._1, e, xc, ec, k, xSort))
               case _ => None
             }
           case _ => None
@@ -228,8 +221,8 @@ object Rewriter {
       val stable = try Stabilizer.stableCols(fix, cat) catch { case MuRaError(_) => return Vector.empty }
       if (!cond.cols.subsetOf(stable)) Vector.empty
       else {
-        val (constT, varB) = Analysis.decompose(fix, cat)
-        Vector(rebuildFix(x, Term.unionBranches(constT).map(Filter(cond, _)), varB))
+        val (constB, varB) = fix.branches
+        Vector(rebuildFix(x, constB.map(Filter(cond, _)), varB))
       }
     case _ => Vector.empty
   }
@@ -248,7 +241,7 @@ object Rewriter {
         val j = tSort intersect fixSort
         if (j.isEmpty || !j.subsetOf(stable)) return None
         val extras = tSort -- j
-        val (constT, varB) = Analysis.decompose(fix, cat)
+        val (constB, varB) = fix.branches
         val xs = fixSort
         val hazards: Set[String] = varB.map { br =>
           val si = spineInfo(br, fix.x, cat, rec + (fix.x -> xs))
@@ -266,7 +259,7 @@ object Rewriter {
             outer ::= (f -> e)
           }
         }
-        val pushed = rebuildFix(fix.x, Term.unionBranches(constT).map(Join(t2, _)), varB)
+        val pushed = rebuildFix(fix.x, constB.map(Join(t2, _)), varB)
         Some(outer.foldLeft(pushed: Term) { case (acc, (f, e)) => Rename(f, e, acc) })
       }
       (a, b) match {
@@ -289,7 +282,7 @@ object Rewriter {
       val stable = try Stabilizer.stableCols(fix, cat) catch { case MuRaError(_) => return Vector.empty }
       if (!stable.contains(c)) Vector.empty
       else {
-        val (constT, varB) = Analysis.decompose(fix, cat)
+        val (constB, varB) = fix.branches
         val xs = Analysis.fixSort(fix, cat)
         val reads = varB.exists { br =>
           val si = spineInfo(br, x, cat, rec + (x -> xs))
@@ -297,7 +290,7 @@ object Rewriter {
             si.renameSources.contains(c) || si.renameTargets.contains(c)
         }
         if (reads) Vector.empty
-        else Vector(rebuildFix(x, Term.unionBranches(constT).map(AntiProj(c, _)), varB))
+        else Vector(rebuildFix(x, constB.map(AntiProj(c, _)), varB))
       }
     case _ => Vector.empty
   }
@@ -310,13 +303,10 @@ object Rewriter {
     case fix: Fix if fix.freeRecVars.isEmpty =>
       recognizeLinear(fix, cat) match {
         case Some(lf) if isPureClosure(lf, cat) =>
-          val other = (lf.sort - lf.xCol).head
-          val eOther = (lf.sort - lf.eCol).head
           // swap roles: X now renamed on the column E was renamed on, etc.
           val step = AntiProj(lf.k, Join(
             Rename(lf.eCol, lf.k, RecVar(lf.x)),
             Rename(lf.xCol, lf.k, lf.e)))
-          val _ = (other, eOther)
           Vector(rebuildFix(lf.x, lf.constBranches, List(step)))
         case _ => Vector.empty
       }
@@ -347,8 +337,8 @@ object Rewriter {
           // F2 must append B on its t side: its step renames X on t and B on m.
           if (l1.xCol != s || l1.eCol != m || l2.xCol != t || l2.eCol != m)
             return Vector.empty
-          val z = Fresh.recVar()
           val base = AntiProj(m, Join(Term.unionAll(l1.constBranches), Term.unionAll(l2.constBranches)))
+          val z = Fresh.recVar(base.recVarNames ++ l1.e.recVarNames ++ l2.e.recVarNames)
           val avoid = l1.e.allColNames ++ l2.e.allColNames ++ Set(s, m, t) ++
             l1.constBranches.flatMap(_.allColNames) ++ l2.constBranches.flatMap(_.allColNames)
           val k1 = Fresh.col(avoid, "k")
@@ -381,25 +371,15 @@ object Rewriter {
   private def applyEverywhere(t: Term, cat: Catalog, rec: RecEnv,
                               rule: (Term, Catalog, RecEnv) => Vector[Term]): Vector[Term] = {
     val here = rule(t, cat, rec)
-    val below: Vector[Term] = t match {
-      case Rel(_) | RecVar(_) => Vector.empty
-      case Filter(c, s)   => applyEverywhere(s, cat, rec, rule).map(Filter(c, _))
-      case Join(l, r)     =>
-        applyEverywhere(l, cat, rec, rule).map(Join(_, r)) ++
-        applyEverywhere(r, cat, rec, rule).map(Join(l, _))
-      case Antijoin(l, r) =>
-        applyEverywhere(l, cat, rec, rule).map(Antijoin(_, r)) ++
-        applyEverywhere(r, cat, rec, rule).map(Antijoin(l, _))
-      case Union(l, r)    =>
-        applyEverywhere(l, cat, rec, rule).map(Union(_, r)) ++
-        applyEverywhere(r, cat, rec, rule).map(Union(l, _))
-      case AntiProj(c, s) => applyEverywhere(s, cat, rec, rule).map(AntiProj(c, _))
-      case Rename(f, o, s) => applyEverywhere(s, cat, rec, rule).map(Rename(f, o, _))
-      case fix @ Fix(x, body) =>
-        val xs = try Analysis.fixSort(fix, cat, rec) catch { case MuRaError(_) => return here }
-        applyEverywhere(body, cat, rec + (x -> xs), rule).map(Fix(x, _))
+    val inner = t match {
+      case fix @ Fix(x, _) =>
+        try rec + (x -> Analysis.fixSort(fix, cat, rec)) catch { case MuRaError(_) => return here }
+      case _ => rec
     }
-    here ++ below
+    val cs = t.children
+    cs.indices.foldLeft(here) { (acc, i) =>
+      acc ++ applyEverywhere(cs(i), cat, inner, rule).map(t.withChild(i, _))
+    }
   }
 
   /** Cost-guided best-first exploration of the plan space: start from

@@ -58,7 +58,7 @@ object Stabilizer {
     */
   def stableCols(fix: Fix, cat: Catalog): Set[String] = {
     val xSort = Analysis.fixSort(fix, cat)
-    val (_, varBranches) = Analysis.decompose(fix, cat)
+    val (_, varBranches) = Analysis.decompose(fix)
     varBranches.foldLeft(xSort) { (acc, b) =>
       val p = provenance(b, fix.x, xSort, cat)
       acc.filter(c => p.getOrElse(c, None).contains(c))
@@ -86,8 +86,9 @@ object Stabilizer {
         val (inL, inR) = (holds(l, cs), holds(r, cs))
         if (inL || inR) Join(if (inL) go(l, cs) else l, if (inR) go(r, cs) else r)
         else stop(u, cs)
-      case fix @ Fix(x, body) if cs.toSet.subsetOf(stableCols(fix, cat)) =>
-        Fix(x, Term.unionAll(Term.unionBranches(body).map(b => if (b.usesRec(x)) b else go(b, cs))))
+      case fix: Fix if cs.toSet.subsetOf(stableCols(fix, cat)) =>
+        val (constB, varB) = fix.branches
+        Fix(fix.x, Term.unionAll(constB.map(go(_, cs)) ++ varB))
       case _ => stop(u, cs)
     }
     go(t, cols)

@@ -39,65 +39,76 @@ final case class EqCols(a: String, b: String) extends Cond {
 sealed trait Term {
   /** All recursive variables occurring free in this term. */
   lazy val freeRecVars: Set[String] = this match {
-    case Rel(_)              => Set.empty
-    case RecVar(x)           => Set(x)
-    case Filter(_, t)        => t.freeRecVars
-    case Join(l, r)          => l.freeRecVars ++ r.freeRecVars
-    case Antijoin(l, r)      => l.freeRecVars ++ r.freeRecVars
-    case Union(l, r)         => l.freeRecVars ++ r.freeRecVars
-    case AntiProj(_, t)      => t.freeRecVars
-    case Rename(_, _, t)     => t.freeRecVars
-    case Fix(x, body)        => body.freeRecVars - x
+    case RecVar(x)    => Set(x)
+    case Fix(x, body) => body.freeRecVars - x
+    case _            => unionOverChildren(_.freeRecVars)
   }
 
   /** All free database relation names. */
   lazy val freeRels: Set[String] = this match {
-    case Rel(n)          => Set(n)
-    case RecVar(_)       => Set.empty
-    case Filter(_, t)    => t.freeRels
-    case Join(l, r)      => l.freeRels ++ r.freeRels
-    case Antijoin(l, r)  => l.freeRels ++ r.freeRels
-    case Union(l, r)     => l.freeRels ++ r.freeRels
-    case AntiProj(_, t)  => t.freeRels
-    case Rename(_, _, t) => t.freeRels
-    case Fix(_, body)    => body.freeRels
+    case Rel(n) => Set(n)
+    case _      => unionOverChildren(_.freeRels)
   }
 
   /** True iff the recursive variable `x` occurs free in this term. */
   def usesRec(x: String): Boolean = freeRecVars.contains(x)
 
-  /** This node with `f` applied to each of its direct subterms. */
+  /** Every recursive-variable name bound or used in the term. */
+  def recVarNames: Set[String] = this match {
+    case RecVar(x)    => Set(x)
+    case Fix(x, body) => body.recVarNames + x
+    case _            => unionOverChildren(_.recVarNames)
+  }
+
+  /** This node with `f` applied to each of its direct subterms; the node
+    * itself when `f` returns every subterm unchanged (by reference), so
+    * that a walk which rewrites nothing shares the input and its cached
+    * lazy values.
+    */
   def mapChildren(f: Term => Term): Term = this match {
     case Rel(_) | RecVar(_) => this
-    case Filter(c, t)       => Filter(c, f(t))
-    case Join(l, r)         => Join(f(l), f(r))
-    case Antijoin(l, r)     => Antijoin(f(l), f(r))
-    case Union(l, r)        => Union(f(l), f(r))
-    case AntiProj(c, t)     => AntiProj(c, f(t))
-    case Rename(a, b, t)    => Rename(a, b, f(t))
-    case Fix(x, body)       => Fix(x, f(body))
+    case Filter(c, t)       => val u = f(t); if (u eq t) this else Filter(c, u)
+    case AntiProj(c, t)     => val u = f(t); if (u eq t) this else AntiProj(c, u)
+    case Rename(a, b, t)    => val u = f(t); if (u eq t) this else Rename(a, b, u)
+    case Fix(x, body)       => val u = f(body); if (u eq body) this else Fix(x, u)
+    case Join(l, r)         => val a = f(l); val b = f(r); if ((a eq l) && (b eq r)) this else Join(a, b)
+    case Antijoin(l, r)     => val a = f(l); val b = f(r); if ((a eq l) && (b eq r)) this else Antijoin(a, b)
+    case Union(l, r)        => val a = f(l); val b = f(r); if ((a eq l) && (b eq r)) this else Union(a, b)
   }
 
   /** Direct subterms, left to right. */
-  def children: List[Term] = {
-    val b = List.newBuilder[Term]
-    mapChildren { c => b += c; c }
-    b.result()
+  def children: List[Term] = this match {
+    case Rel(_) | RecVar(_) => Nil
+    case Join(l, r)         => l :: r :: Nil
+    case Antijoin(l, r)     => l :: r :: Nil
+    case Union(l, r)        => l :: r :: Nil
+    case Filter(_, t)       => t :: Nil
+    case AntiProj(_, t)     => t :: Nil
+    case Rename(_, _, t)    => t :: Nil
+    case Fix(_, body)       => body :: Nil
+  }
+
+  /** This node with its `i`-th direct subterm replaced by `c`. */
+  def withChild(i: Int, c: Term): Term = {
+    var j = -1
+    mapChildren { old => j += 1; if (j == i) c else old }
+  }
+
+  private def unionOverChildren(f: Term => Set[String]): Set[String] = children match {
+    case Nil      => Set.empty
+    case c :: Nil => f(c)
+    case cs       => cs.map(f).reduce(_ ++ _)
   }
 
   /** Every column name mentioned anywhere in the term (including
     * intermediate names introduced by renames). Used to pick fresh names.
+    * Base schemas come from the catalog, so `Rel` contributes none.
     */
   lazy val allColNames: Set[String] = this match {
-    case Rel(_)              => Set.empty // base schemas come from the catalog
-    case RecVar(_)           => Set.empty
-    case Filter(c, t)        => c.cols ++ t.allColNames
-    case Join(l, r)          => l.allColNames ++ r.allColNames
-    case Antijoin(l, r)      => l.allColNames ++ r.allColNames
-    case Union(l, r)         => l.allColNames ++ r.allColNames
-    case AntiProj(c, t)      => t.allColNames + c
-    case Rename(f, t0, t)    => t.allColNames + f + t0
-    case Fix(_, body)        => body.allColNames
+    case Filter(c, t)     => c.cols ++ t.allColNames
+    case AntiProj(c, t)   => t.allColNames + c
+    case Rename(f, t0, t) => t.allColNames + f + t0
+    case _                => unionOverChildren(_.allColNames)
   }
 
   /** Compact single-line rendering, close to the paper's notation. */
@@ -140,7 +151,19 @@ final case class AntiProj(col: String, t: Term) extends Term
 final case class Rename(from: String, to: String, t: Term) extends Term
 
 /** Fixpoint `μ(x = body)`. */
-final case class Fix(x: String, body: Term) extends Term
+final case class Fix(x: String, body: Term) extends Term {
+  /** The decomposition of Prop. 2: the body's union branches split into
+    * the constant part R (branches free of `x`) and the variable part φ
+    * (branches using `x`), each in body order. Throws [[MuRaError]] when
+    * R is empty.
+    */
+  lazy val branches: (List[Term], List[Term]) = {
+    val (varB, constB) = Term.unionBranches(body).partition(_.usesRec(x))
+    if (constB.isEmpty)
+      throw MuRaError(s"fixpoint has no constant part (Prop. 2 form required): $pretty")
+    (constB, varB)
+  }
+}
 
 object Term {
 
@@ -172,10 +195,11 @@ object Term {
   }
 
   /** Transitive closure `t+` in right-appending (left-linear) form:
-    * `μ(X = t ∪ compose(X, t))`.
+    * `μ(X = t ∪ compose(X, t))`. The variable is named `varName`, by
+    * default the first `X<i>` not bound or free in `t`.
     */
   def closure(t: Term, varName: String = null): Term = {
-    val x = if (varName != null) varName else Fresh.recVar()
+    val x = if (varName != null) varName else Fresh.recVar(t.recVarNames)
     Fix(x, Union(t, compose(RecVar(x), t)))
   }
 
@@ -191,21 +215,18 @@ object Term {
   def renameEverywhere(t: Term, from: String, to: String,
                        relSort: String => Set[String]): Term = {
     require(!t.allColNames.contains(to), s"relabel target '$to' not fresh in ${t.pretty}")
+    def rn(c: String): String = if (c == from) to else c
     def go(u: Term): Term = u match {
       case Rel(n) =>
         val s = relSort(n)
         if (s.contains(from)) {
           require(!s.contains(to), s"relabel target '$to' clashes with schema of $n")
-          Rename(from, to, Rel(n))
-        } else Rel(n)
-      case RecVar(x)         => RecVar(x)
-      case Filter(c, s)      => Filter(c.rename(from, to), go(s))
-      case Join(l, r)        => Join(go(l), go(r))
-      case Antijoin(l, r)    => Antijoin(go(l), go(r))
-      case Union(l, r)       => Union(go(l), go(r))
-      case AntiProj(c, s)    => AntiProj(if (c == from) to else c, go(s))
-      case Rename(f, t0, s)  => Rename(if (f == from) to else f, if (t0 == from) to else t0, go(s))
-      case Fix(x, body)      => Fix(x, go(body))
+          Rename(from, to, u)
+        } else u
+      case Filter(c, s)     => Filter(c.rename(from, to), go(s))
+      case AntiProj(c, s)   => AntiProj(rn(c), go(s))
+      case Rename(f, t0, s) => Rename(rn(f), rn(t0), go(s))
+      case _                => u.mapChildren(go)
     }
     go(t)
   }
@@ -229,6 +250,10 @@ object Fresh {
     s"${base}_$i"
   }
 
-  private val recCounter = new java.util.concurrent.atomic.AtomicInteger(0)
-  def recVar(): String = s"X${recCounter.incrementAndGet()}"
+  /** The first recursive-variable name `X<i>` not in `avoid`. */
+  def recVar(avoid: Set[String]): String = {
+    var i = 1
+    while (avoid.contains(s"X$i")) i += 1
+    s"X$i"
+  }
 }

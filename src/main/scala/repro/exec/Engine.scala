@@ -7,17 +7,14 @@ import repro.core.Analysis.Catalog
 import repro.ucrpq.Query2Mu
 
 /** Full engine configuration: which logical rewrites are allowed and
-  * which physical fixpoint plans may be chosen. The baseline systems of
-  * the paper are modeled as restricted configurations (see DESIGN.md §2).
+  * how the executor runs the chosen plan (which physical fixpoint plans
+  * may be chosen, partitions, iteration). The baseline systems of the
+  * paper are modeled as restricted configurations (see DESIGN.md §2).
   */
 final case class EngineConfig(
     name: String = "Dist-mu-RA",
     rewrite: RewriteConfig = RewriteConfig.all,
-    plan: PlanChoice = PlanChoice.Auto,
-    nPartitions: Int = 16,
-    maxIters: Int = 100000,
-    collectStats: Boolean = true,
-    semiNaive: Boolean = true,
+    exec: ExecConfig = ExecConfig(),
 )
 
 /** The Dist-μ-RA pipeline of Fig. 3: Query2Mu → MuRewriter →
@@ -34,8 +31,7 @@ final class MuRaEngine(val spark: SparkSession,
     * approximate distinct counts), gathered once per dataset.
     */
   lazy val stats: Map[String, RelStats] =
-    if (!cfg.collectStats) catalog.map { case (n, _) => n -> RelStats(1000.0, Map.empty) }
-    else catalog.map { case (n, df) =>
+    catalog.map { case (n, df) =>
       val cols = df.columns
       val aggs = count(lit(1)).as("__rows") +: cols.map(c => approx_count_distinct(col(c)).as(c))
       val row = df.agg(aggs.head, aggs.tail: _*).head()
@@ -56,17 +52,14 @@ final class MuRaEngine(val spark: SparkSession,
     Cost.best(candidates, stats, cat)
   }
 
-  def execConfig: ExecConfig =
-    ExecConfig(cfg.plan, cfg.nPartitions, cfg.maxIters, semiNaive = cfg.semiNaive)
-
   /** Base relations broadcast to `P_plw^s` tasks, shared by every query
     * of this engine; each is collected on first use, not in [[warmup]].
     */
-  val broadcasts: Broadcasts = new Broadcasts(spark, catalog, execConfig.broadcastThreshold)
+  val broadcasts: Broadcasts = new Broadcasts(spark, catalog, cfg.exec.broadcastThreshold)
 
   /** Execute an (already optimized) plan. */
   def execute(plan: Term): DataFrame = {
-    val df = new Executor(spark, catalog, execConfig, broadcasts).eval(plan)
+    val df = new Executor(spark, catalog, cfg.exec, broadcasts).eval(plan)
     df.select(df.columns.sorted.map(col): _*)
   }
 
@@ -90,19 +83,19 @@ object Engines {
   def distMuRA(spark: SparkSession, catalog: Map[String, DataFrame],
                constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
     new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA", RewriteConfig.all, PlanChoice.Auto, nPartitions))
+      EngineConfig("Dist-mu-RA", RewriteConfig.all, ExecConfig(PlanChoice.Auto, nPartitions)))
 
   /** Ablation: all fixpoints forced to the global-driver-loop plan. */
   def distMuRAGld(spark: SparkSession, catalog: Map[String, DataFrame],
                   constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
     new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_gld)", RewriteConfig.all, PlanChoice.ForceGld, nPartitions))
+      EngineConfig("Dist-mu-RA (P_gld)", RewriteConfig.all, ExecConfig(PlanChoice.ForceGld, nPartitions)))
 
   /** Fig. 7 variant: parallel local worker loops, SetRDD-style. */
   def distMuRAPlwS(spark: SparkSession, catalog: Map[String, DataFrame],
                    constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
     new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_plw^s)", RewriteConfig.all, PlanChoice.ForcePlwS, nPartitions))
+      EngineConfig("Dist-mu-RA (P_plw^s)", RewriteConfig.all, ExecConfig(PlanChoice.ForcePlwS, nPartitions)))
 
   /** Fig. 7 variant: parallel local worker loops on the per-worker RDBMS
     * (DuckDB substituting PostgreSQL).
@@ -110,7 +103,7 @@ object Engines {
   def distMuRAPlwPg(spark: SparkSession, catalog: Map[String, DataFrame],
                     constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
     new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_plw^pg)", RewriteConfig.all, PlanChoice.ForcePlwPg, nPartitions))
+      EngineConfig("Dist-mu-RA (P_plw^pg)", RewriteConfig.all, ExecConfig(PlanChoice.ForcePlwPg, nPartitions)))
 
   /** BigDatalog-equivalent: semi-naive distributed Datalog with
     * Magic-sets-level optimization (pushes in the written direction only
@@ -120,7 +113,7 @@ object Engines {
   def bigDatalogLite(spark: SparkSession, catalog: Map[String, DataFrame],
                      constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
     new MuRaEngine(spark, catalog, constants,
-      EngineConfig("BigDatalog-lite", RewriteConfig.bigDatalogLite, PlanChoice.Auto, nPartitions))
+      EngineConfig("BigDatalog-lite", RewriteConfig.bigDatalogLite, ExecConfig(PlanChoice.Auto, nPartitions)))
 
   /** Myria-equivalent: evaluation of the query as written (no logical
     * optimization of recursion), no P_plw-style decomposed plan — every
@@ -131,6 +124,6 @@ object Engines {
   def myriaLite(spark: SparkSession, catalog: Map[String, DataFrame],
                 constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
     new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Myria-lite", RewriteConfig.none, PlanChoice.ForceGld, nPartitions,
-        semiNaive = false))
+      EngineConfig("Myria-lite", RewriteConfig.none,
+        ExecConfig(PlanChoice.ForceGld, nPartitions, semiNaive = false)))
 }

@@ -5,7 +5,6 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
-import java.sql.DriverManager
 import scala.collection.mutable
 import repro.core._
 import repro.core.Analysis.Catalog
@@ -122,7 +121,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       val (cols, rows) = region(fix)
       spark.createDataFrame(rows.map(Row.fromSeq), schemaOf(fix, cols))
     } else {
-      val (constT, varB) = Analysis.decompose(fix, cat)
+      val (constT, varB) = Analysis.decompose(fix)
       val rDf = evalRec(constT, rec).distinct()
       if (varB.isEmpty) rDf
       else {
@@ -248,14 +247,14 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       case f: Fix if !reached(f) => input(f, None)
       case _                     => t.mapChildren(localize)
     }
-    val branches = Term.unionBranches(fix.body).map { b =>
-      if (b.usesRec(fix.x)) b
-      else Stabilizer.pushSelection(b, key, cat) {
+    val (constB, varB) = fix.branches
+    val pushed = constB.map { b =>
+      Stabilizer.pushSelection(b, key, cat) {
         case (f: Fix, cs) => input(f, Some(cs))
         case (u, cs)      => input(localize(u), Some(cs))
       }
     }
-    val local = localize(Fix(fix.x, Term.unionAll(branches)))
+    val local = localize(Fix(fix.x, Term.unionAll(pushed ++ varB)))
 
     val entries = inputs.toVector.map { case ((t, on), name) => (t, on, name) }
     val slices = entries.collect { case (t, Some(cs), name) if !t.isInstanceOf[Fix] => (name, t, cs) }
@@ -308,7 +307,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       case Filter(_, s)     => types(s)
       case Antijoin(l, _)   => types(l)
       case Union(l, _)      => types(l)
-      case f: Fix           => types(Analysis.decompose(f, cat)._1)
+      case f: Fix           => types(f.branches._1.head)
       case RecVar(x)        => throw MuRaError(s"unbound recursive variable $x")
     }
     val ty = types(fix)
@@ -331,21 +330,21 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     val schema = rDf.schema
     val colsVec = schema.fieldNames.toVector
     val e = envWith(extra)
-    val phi = Term.unionAll(phiBranches)
-    val relNames = phi.freeRels.toSeq.sorted
-    // keyed by the sanitized DuckDB table name: the task closure must not
-    // capture `this` (it is not serializable)
-    val relData: Map[String, (Vector[String], Vector[Vector[Any]], Vector[String])] =
+    val relNames = Term.unionAll(phiBranches).freeRels.toSeq.sorted
+    // (table, columns, DuckDB types, rows) of each relation φ reads, as
+    // plain values: the task closure must not capture `this` (it is not
+    // serializable)
+    val relData: Seq[(String, Vector[String], Vector[String], Vector[Vector[Any]])] =
       relNames.map { n =>
         val df = e(n)
-        val types = df.schema.fields.map(f => duckType(f.dataType)).toVector
-        (s"rel_${sanitize(n)}", (df.columns.toVector, df.collect().toVector.map(_.toSeq.toVector), types))
-      }.toMap
+        (DuckDb.table(n), df.columns.toVector, df.schema.fields.map(f => DuckDb.duckType(f.dataType)).toVector,
+          df.collect().toVector.map(_.toSeq.toVector))
+      }
     val gen = new SqlGen(
-      relTable = relNames.map(n => n -> s"rel_${sanitize(n)}").toMap,
+      relTable = relNames.map(n => n -> DuckDb.table(n)).toMap,
       relCols = relNames.map(n => n -> e(n).columns.toSeq).toMap)
     val fixSql = gen.localFixpointQuery(phiBranches, x, "part_r", colsVec)
-    val partTypes = schema.fields.map(f => duckType(f.dataType)).toVector
+    val partTypes = schema.fields.map(f => DuckDb.duckType(f.dataType)).toVector
     val bc = spark.sparkContext.broadcast(relData)
     val parted =
       if (stable.nonEmpty) rDf.repartition(cfg.nPartitions, stable.map(col): _*)
@@ -354,54 +353,13 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     val rowRdd = parted.rdd.mapPartitions { it =>
       val rows = it.map(_.toSeq.toVector).toVector
       if (rows.isEmpty) Iterator.empty
-      else {
-        Class.forName("org.duckdb.DuckDBDriver")
-        val conn = DriverManager.getConnection("jdbc:duckdb:")
-        try {
-          def load(table: String, cols: Vector[String], types: Vector[String],
-                   data: Vector[Vector[Any]]): Unit = {
-            val ddlCols = cols.zip(types).map { case (c, ty) => s""""$c" $ty""" }.mkString(", ")
-            conn.createStatement.execute(s"CREATE TABLE $table ($ddlCols)")
-            val ps = conn.prepareStatement(
-              s"INSERT INTO $table VALUES (${cols.map(_ => "?").mkString(",")})")
-            data.foreach { r =>
-              r.indices.foreach(i => ps.setObject(i + 1, r(i)))
-              ps.addBatch()
-            }
-            ps.executeBatch(); ps.close()
-          }
-          bc.value.foreach { case (table, (cols, data, types)) =>
-            load(table, cols, types, data)
-          }
-          load("part_r", colsVec, partTypes, rows)
-          val rs = conn.createStatement.executeQuery(fixSql)
-          val buf = Vector.newBuilder[Row]
-          while (rs.next()) {
-            buf += Row.fromSeq(colsVec.indices.map { i =>
-              (outTypes(i), rs.getObject(i + 1)) match {
-                case (LongType, v: Number)    => v.longValue()
-                case (IntegerType, v: Number) => v.intValue()
-                case (DoubleType, v: Number)  => v.doubleValue()
-                case (_, v)                   => v
-              }
-            })
-          }
-          buf.result().iterator
-        } finally conn.close()
+      else DuckDb.withConnection { conn =>
+        bc.value.foreach { case (table, cols, types, data) => DuckDb.load(conn, table, cols, types, data) }
+        DuckDb.load(conn, "part_r", colsVec, partTypes, rows)
+        DuckDb.rows(conn.createStatement.executeQuery(fixSql), outTypes).iterator
       }
     }
     val df = spark.createDataFrame(rowRdd, schema)
     if (finalDistinct) df.distinct() else df
-  }
-
-  private def sanitize(n: String): String = n.replaceAll("[^A-Za-z0-9_]", "_")
-
-  private def duckType(dt: DataType): String = dt match {
-    case LongType    => "BIGINT"
-    case IntegerType => "INTEGER"
-    case DoubleType  => "DOUBLE"
-    case StringType  => "VARCHAR"
-    case BooleanType => "BOOLEAN"
-    case other       => throw MuRaError(s"unsupported type for RDBMS backend: $other")
   }
 }

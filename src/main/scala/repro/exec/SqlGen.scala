@@ -95,10 +95,8 @@ final class SqlGen(relTable: Map[String, String], relCols: Map[String, Seq[Strin
       }.mkString(", ")
       (s"SELECT $proj FROM ($sql) AS $a", out)
 
-    case Fix(x, body) =>
-      val branches = Term.unionBranches(body)
-      val (varB, constB) = branches.partition(_.usesRec(x))
-      if (constB.isEmpty) throw MuRaError(s"fixpoint without constant part in SQL gen")
+    case fix @ Fix(x, _) =>
+      val (constB, varB) = fix.branches
       val (baseSqls, baseColsList) = constB.map(select(_, rec)).unzip
       val cols = baseColsList.head
       require(baseColsList.forall(_ == cols), "fixpoint constant parts project different columns")

@@ -71,12 +71,6 @@ object GraphData {
     toLabeledDf(spark, rows)
   }
 
-  /** An unlabeled graph as a single-predicate labeled graph. */
-  def withLabel(spark: SparkSession, edges: DataFrame, label: String): DataFrame = {
-    val rows = edges.collect().map(r => (r.getLong(0), label, r.getLong(1))).toSeq
-    toLabeledDf(spark, rows)
-  }
-
   // =====================================================================
   // Yago-lite: a structured, labeled knowledge graph over the paper's 16
   // Yago predicates, with named constants, sized by `scale` (scale = 1.0

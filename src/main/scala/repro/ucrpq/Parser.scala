@@ -75,14 +75,6 @@ object UcrpqParser {
     }
     def eof: Boolean = pos >= toks.length
 
-    def query(): Query = {
-      val heads = List.newBuilder[String]
-      heads += headVar()
-      while (peek.contains(TComma)) { next(); heads += headVar() }
-      // `heads` ended at the arrow
-      Query(heads.result(), Nil)
-    }
-
     private def headVar(): String = next() match {
       case TVar(n) => n
       case other   => throw ParseError(s"expected head variable, got $other")

@@ -23,10 +23,7 @@ object SparkTestData {
     spark.createDataFrame(
       spark.sparkContext.parallelize(triples.toSeq.map(e => Row(e._1, e._2, e._3)), 4), tripleSchema)
 
-  def toPairs(df: DataFrame): Set[(Long, Long)] = {
-    val si = df.columns.indexOf("src"); val ti = df.columns.indexOf("trg")
-    df.collect().map(r => (r.getLong(si), r.getLong(ti))).toSet
-  }
+  def toPairs(df: DataFrame): Set[(Long, Long)] = toPairs(df, "src", "trg")
 
   def toPairs(df: DataFrame, c1: String, c2: String): Set[(Long, Long)] = {
     val si = df.columns.indexOf(c1); val ti = df.columns.indexOf(c2)

@@ -57,7 +57,7 @@ class AnalysisSpec extends AnyFunSuite {
   }
 
   test("decompose splits constant and variable parts") {
-    val (constT, varB) = Analysis.decompose(example2, cat)
+    val (constT, varB) = Analysis.decompose(example2)
     assert(constT == Rel("S"))
     assert(varB.size == 1)
     assert(varB.head.usesRec("X"))
@@ -68,7 +68,7 @@ class AnalysisSpec extends AnyFunSuite {
       case Union(_, step) => step
       case _              => fail()
     })))
-    val (constT, varB) = Analysis.decompose(fix, cat)
+    val (constT, varB) = Analysis.decompose(fix)
     assert(Term.unionBranches(constT).toSet == Set(Rel("S"), Rel("E")))
     assert(varB.size == 1)
   }
@@ -86,11 +86,11 @@ class AnalysisSpec extends AnyFunSuite {
     val bad = Fix("X", Union(Rel("S"), Union(RecVar("X"), Rel("E"))))
     // inner Union(RecVar, Rel) flattens: branches are S, X, E — X alone is
     // a variable branch that vanishes; E is constant. This one is fine.
-    Analysis.decompose(bad, cat)
+    Analysis.decompose(bad)
     // A branch like (E ∪ X) nested under a join does not vanish:
     val bad2 = Fix("X", Union(Rel("S"), AntiProj("c",
       Join(Rename("trg", "c", Union(RecVar("X"), Rel("E"))), Rename("src", "c", Rel("E"))))))
-    assertThrows[MuRaError](Analysis.decompose(bad2, cat))
+    assertThrows[MuRaError](Analysis.decompose(bad2))
   }
 
   test("F_cond: antijoin right side must be constant (positivity)") {
@@ -130,6 +130,12 @@ class AnalysisSpec extends AnyFunSuite {
     val c2 = Term.closure(Rel("E"), "Zq")
     assert(Analysis.alphaEq(c1, c2, cat))
     assert(!Analysis.alphaEq(c1, Term.closure(Rel("S"), "X"), cat))
+  }
+
+  test("canonical numbers binders, not names: sibling fixpoints may share a name") {
+    val same = Join(Term.closure(Rel("E"), "X"), Term.closure(Rel("S"), "X"))
+    val renamed = Join(Term.closure(Rel("E"), "X"), Term.closure(Rel("S"), "Y"))
+    assert(Analysis.alphaEq(same, renamed, cat))
   }
 
   test("alphaEq distinguishes orientation") {

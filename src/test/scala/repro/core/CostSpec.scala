@@ -49,25 +49,15 @@ class CostSpec extends AnyFunSuite {
     val plans = Rewriter.explore(t, cat, RewriteConfig.all)
     val best = Cost.best(plans, stats, cat)
     // the best plan must contain the filter inside a fixpoint's base
+    def hasF(v: Term): Boolean = v match {
+      case Filter(EqConst("trg", _), _) => true
+      case _: Antijoin | _: Fix         => false
+      case _                            => v.children.exists(hasF)
+    }
     def pushed(u: Term): Boolean = u match {
-      case f: Fix => Term.unionBranches(f.body).exists {
-        case b if !b.usesRec(f.x) =>
-          def hasF(v: Term): Boolean = v match {
-            case Filter(EqConst("trg", _), _) => true
-            case Filter(_, s)    => hasF(s)
-            case AntiProj(_, s)  => hasF(s)
-            case Rename(_, _, s) => hasF(s)
-            case Join(l, r)      => hasF(l) || hasF(r)
-            case Union(l, r)     => hasF(l) || hasF(r)
-            case _               => false
-          }
-          hasF(b)
-        case _ => false
-      }
-      case Filter(_, s)    => pushed(s)
-      case AntiProj(_, s)  => pushed(s)
-      case Rename(_, _, s) => pushed(s)
-      case _               => false
+      case f: Fix => Term.unionBranches(f.body).exists(b => !b.usesRec(f.x) && hasF(b))
+      case _: Filter | _: AntiProj | _: Rename => u.children.exists(pushed)
+      case _ => false
     }
     assert(pushed(best), best.pretty)
   }

@@ -71,24 +71,9 @@ class EngineSpec extends SparkSpec {
     val plan = eng.plan("?x <- ?x a+ N3")
     // The chosen plan must contain a fixpoint whose constant part filters on N3.
     def hasFilteredBase(t: Term): Boolean = t match {
-      case f: Fix =>
-        val (c, _) = Analysis.decompose(f, eng.cat)
-        def mentionsFilter(u: Term): Boolean = u match {
-          case Filter(EqConst(_, v), _) => v == 3L
-          case Filter(_, s)    => mentionsFilter(s)
-          case AntiProj(_, s)  => mentionsFilter(s)
-          case Rename(_, _, s) => mentionsFilter(s)
-          case Join(l, r)      => mentionsFilter(l) || mentionsFilter(r)
-          case Union(l, r)     => mentionsFilter(l) || mentionsFilter(r)
-          case _               => false
-        }
-        mentionsFilter(c) || hasFilteredBase(f.body)
-      case Filter(_, s)    => hasFilteredBase(s)
-      case AntiProj(_, s)  => hasFilteredBase(s)
-      case Rename(_, _, s) => hasFilteredBase(s)
-      case Join(l, r)      => hasFilteredBase(l) || hasFilteredBase(r)
-      case Union(l, r)     => hasFilteredBase(l) || hasFilteredBase(r)
-      case _               => false
+      case f: Fix      => mentionsFilterOnN3(Analysis.decompose(f)._1) || hasFilteredBase(f.body)
+      case _: Antijoin => false
+      case _           => t.children.exists(hasFilteredBase)
     }
     assert(hasFilteredBase(plan), plan.pretty)
   }
@@ -97,53 +82,22 @@ class EngineSpec extends SparkSpec {
     val eng = Engines.bigDatalogLite(spark, catalog, consts, 4)
     val plan = eng.plan("?x <- ?x a+ N3")
     def fixHasFilter(t: Term): Boolean = t match {
-      case f: Fix =>
-        Term.unionBranches(f.body).exists {
-          case b if !b.usesRec(f.x) => b.allColNames.nonEmpty && {
-            def mf(u: Term): Boolean = u match {
-              case Filter(EqConst(_, v), _) => v == 3L
-              case Filter(_, s)    => mf(s)
-              case AntiProj(_, s)  => mf(s)
-              case Rename(_, _, s) => mf(s)
-              case Join(l, r)      => mf(l) || mf(r)
-              case Union(l, r)     => mf(l) || mf(r)
-              case _               => false
-            }
-            mf(b)
-          }
-          case _ => false
-        }
-      case Filter(_, s)    => fixHasFilter(s)
-      case AntiProj(_, s)  => fixHasFilter(s)
-      case Rename(_, _, s) => fixHasFilter(s)
-      case Join(l, r)      => fixHasFilter(l) || fixHasFilter(r)
-      case Union(l, r)     => fixHasFilter(l) || fixHasFilter(r)
-      case _               => false
+      case f: Fix => Term.unionBranches(f.body).exists { b =>
+        !b.usesRec(f.x) && b.allColNames.nonEmpty && mentionsFilterOnN3(b)
+      }
+      case _: Antijoin => false
+      case _           => t.children.exists(fixHasFilter)
     }
     assert(!fixHasFilter(plan), plan.pretty)
   }
 
   test("Dist-mu-RA avoids joining two materialized closures on C6; BigDatalog-lite cannot") {
-    def countFix(t: Term): Int = t match {
-      case Fix(_, b)       => 1 + countFix(b)
-      case Filter(_, s)    => countFix(s)
-      case AntiProj(_, s)  => countFix(s)
-      case Rename(_, _, s) => countFix(s)
-      case Join(l, r)      => countFix(l) + countFix(r)
-      case Union(l, r)     => countFix(l) + countFix(r)
-      case Antijoin(l, r)  => countFix(l) + countFix(r)
-      case _               => 0
-    }
+    def countFix(t: Term): Int =
+      (if (t.isInstanceOf[Fix]) 1 else 0) + t.children.map(countFix).sum
     // A "join of two closures" = some Join with a fixpoint on each side.
     def joinsTwoFixes(t: Term): Boolean = t match {
-      case Join(l, r)      => (countFix(l) > 0 && countFix(r) > 0) || joinsTwoFixes(l) || joinsTwoFixes(r)
-      case Fix(_, b)       => joinsTwoFixes(b)
-      case Filter(_, s)    => joinsTwoFixes(s)
-      case AntiProj(_, s)  => joinsTwoFixes(s)
-      case Rename(_, _, s) => joinsTwoFixes(s)
-      case Union(l, r)     => joinsTwoFixes(l) || joinsTwoFixes(r)
-      case Antijoin(l, r)  => joinsTwoFixes(l) || joinsTwoFixes(r)
-      case _               => false
+      case Join(l, r) if countFix(l) > 0 && countFix(r) > 0 => true
+      case _ => t.children.exists(joinsTwoFixes)
     }
     val distEng = Engines.distMuRA(spark, catalog, consts, 4)
     val distPlan = distEng.plan("?x,?y <- ?x a+/b+ ?y")
@@ -160,6 +114,20 @@ class EngineSpec extends SparkSpec {
     assert(candidates.exists(countFix(_) == 1), "merged plan not found in the plan space")
   }
 
+  test("planning is deterministic: the same query twice gives equal plans") {
+    val eng = Engines.distMuRA(spark, catalog, consts, 4)
+    val q = "?x,?y <- ?x a+/b+ ?y"
+    assert(eng.plan(q) == eng.plan(q))
+  }
+
+  test("RDBMS backends reject a column type DuckDB tables cannot hold") {
+    val cat = Map("D" -> spark.sql("SELECT DATE'2024-01-01' AS src, DATE'2024-01-02' AS trg"))
+    val t = Term.closure(Rel("D"))
+    def error(run: => Unit): String = intercept[MuRaError](run).getMessage
+    assert(error(new CentralizedMuRA(spark, cat, Map.empty).run(t).collect()).contains("DateType"))
+    assert(error(Engines.distMuRAPlwPg(spark, cat, Map.empty, 2).run(t).collect()).contains("DateType"))
+  }
+
   test("engine rejects non-F_cond terms") {
     val eng = Engines.distMuRA(spark, catalog, consts, 4)
     assertThrows[MuRaError](
@@ -167,6 +135,15 @@ class EngineSpec extends SparkSpec {
   }
 
   private def edgeTerm = Query2Mu.edge("a")
+
+  /** Whether `u` filters on the constant N3 outside any antijoin or
+    * nested fixpoint.
+    */
+  private def mentionsFilterOnN3(u: Term): Boolean = u match {
+    case Filter(EqConst(_, v), _) => v == 3L
+    case _: Antijoin | _: Fix     => false
+    case _                        => u.children.exists(mentionsFilterOnN3)
+  }
 
   test("engine stats collect row and distinct counts") {
     val eng = Engines.distMuRA(spark, catalog, consts, 4)

@@ -20,16 +20,8 @@ class PlanDebugSpec extends SparkSpec {
     }
     val plan = eng.optimize(MuRaTerms.reach(1L))
     info(s"chosen plan: ${plan.pretty}")
-    def fixes(t: Term): Seq[Fix] = t match {
-      case f @ Fix(_, b)   => f +: fixes(b)
-      case Filter(_, s)    => fixes(s)
-      case AntiProj(_, s)  => fixes(s)
-      case Rename(_, _, s) => fixes(s)
-      case Join(l, r)      => fixes(l) ++ fixes(r)
-      case Union(l, r)     => fixes(l) ++ fixes(r)
-      case Antijoin(l, r)  => fixes(l) ++ fixes(r)
-      case _               => Seq.empty
-    }
+    def fixes(t: Term): Seq[Fix] =
+      (t match { case f: Fix => Seq(f); case _ => Seq.empty }) ++ t.children.flatMap(fixes)
     val fs = fixes(plan)
     assert(fs.nonEmpty)
     assert(fs.forall(f => Stabilizer.stableCols(f, eng.cat).nonEmpty),

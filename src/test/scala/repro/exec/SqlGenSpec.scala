@@ -1,6 +1,6 @@
 package repro.exec
 
-import java.sql.DriverManager
+import org.apache.spark.sql.types.LongType
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.TestGraphs._
@@ -10,30 +10,20 @@ import repro.core.TestGraphs._
   */
 class SqlGenSpec extends AnyFunSuite {
 
-  private def withDuck[A](tables: Map[String, Set[(Long, Long)]])(f: java.sql.Connection => A): A = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
+  private def withDuck[A](tables: Map[String, Set[(Long, Long)]])(f: java.sql.Connection => A): A =
+    DuckDb.withConnection { conn =>
       tables.foreach { case (n, rows) =>
-        conn.createStatement.execute(s"""CREATE TABLE $n ("src" BIGINT, "trg" BIGINT)""")
-        val ps = conn.prepareStatement(s"INSERT INTO $n VALUES (?, ?)")
-        rows.foreach { case (a, b) => ps.setLong(1, a); ps.setLong(2, b); ps.addBatch() }
-        ps.executeBatch(); ps.close()
+        DuckDb.load(conn, n, Seq("src", "trg"), Seq("BIGINT", "BIGINT"), rows.map { case (a, b) => Seq(a, b) })
       }
       f(conn)
-    } finally conn.close()
-  }
+    }
 
   private def gen = new SqlGen(
     relTable = Map("E" -> "e_tab", "S" -> "s_tab"),
     relCols = Map("E" -> Seq("src", "trg"), "S" -> Seq("src", "trg")))
 
-  private def runSql(conn: java.sql.Connection, sql: String, cols: Vector[String]): Set[Vector[Any]] = {
-    val rs = conn.createStatement.executeQuery(sql)
-    val out = Set.newBuilder[Vector[Any]]
-    while (rs.next()) out += cols.indices.map(i => rs.getLong(i + 1): Any).toVector
-    out.result()
-  }
+  private def runSql(conn: java.sql.Connection, sql: String, cols: Vector[String]): Set[Vector[Any]] =
+    DuckDb.rows(conn.createStatement.executeQuery(sql), cols.map(_ => LongType)).map(_.toSeq.toVector).toSet
 
   private def check(t: Term): Unit = {
     val (sql, cols) = gen.select(t, Map.empty)
@@ -76,7 +66,7 @@ class SqlGenSpec extends AnyFunSuite {
   }
 
   test("localFixpointQuery computes a per-partition fixpoint") {
-    val (_, varB) = Analysis.decompose(example2, cat)
+    val (_, varB) = Analysis.decompose(example2)
     val sql = gen.localFixpointQuery(varB, "X", "part_r", Seq("src", "trg"))
     val got = withDuck(Map("e_tab" -> paperE, "part_r" -> paperS))(
       runSql(_, sql, Vector("src", "trg")))

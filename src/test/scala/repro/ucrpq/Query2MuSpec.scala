@@ -25,6 +25,11 @@ class Query2MuSpec extends AnyFunSuite {
   private def evalQ(q: String): LocalRel =
     LocalEval.eval(Query2Mu.translate(q, consts), env)
 
+  test("translation is deterministic: recursive variables are named from the term") {
+    val q = "?x,?y <- ?x a+/b+/(a|c)+ ?y"
+    assert(Query2Mu.translate(q, consts) == Query2Mu.translate(q, consts))
+  }
+
   test("translated terms type-check and satisfy F_cond") {
     val queries = Seq(
       "?x,?y <- ?x a+ ?y", "?x <- ?x a+ N4", "?x <- N1 a+ ?x",
