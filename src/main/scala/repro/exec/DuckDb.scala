@@ -3,20 +3,20 @@ package repro.exec
 import java.sql.{Connection, DriverManager, ResultSet}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
-import repro.core.MuRaError
+import repro.core.{MuRaError, Rel, Term}
 
 /** The in-process DuckDB database of the RDBMS-backed plans: `P_plw^pg`
-  * tasks and the Centralized μ-RA baseline (DuckDB substitutes
+  * region tasks and the Centralized μ-RA baseline (DuckDB substitutes
   * PostgreSQL, see DESIGN.md §2). The test oracle `repro.Oracle` does not
   * use it, so that it stays independent of the code it checks.
   */
 object DuckDb {
 
-  /** The table holding base relation `name`. */
-  def table(name: String): String = s"rel_${name.replaceAll("[^A-Za-z0-9_]", "_")}"
+  /** The table holding relation `name`. */
+  private def table(name: String): String = s"rel_${name.replaceAll("[^A-Za-z0-9_]", "_")}"
 
   /** DuckDB column type of a Spark column type. */
-  def duckType(dt: DataType): String = dt match {
+  private def duckType(dt: DataType): String = dt match {
     case LongType    => "BIGINT"
     case IntegerType => "INTEGER"
     case DoubleType  => "DOUBLE"
@@ -26,7 +26,7 @@ object DuckDb {
   }
 
   /** Run `f` on a fresh in-memory database, closed afterwards. */
-  def withConnection[A](f: Connection => A): A = {
+  private def withConnection[A](f: Connection => A): A = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try f(conn) finally conn.close()
@@ -35,8 +35,8 @@ object DuckDb {
   /** Create `table` with columns `cols` of DuckDB types `types`, and
     * insert `rows` in one batch.
     */
-  def load(conn: Connection, table: String, cols: Seq[String], types: Seq[String],
-           rows: Iterable[Seq[Any]]): Unit = {
+  private def load(conn: Connection, table: String, cols: Seq[String], types: Seq[String],
+                   rows: Iterable[Seq[Any]]): Unit = {
     val ddl = cols.zip(types).map { case (c, ty) => s""""$c" $ty""" }.mkString(", ")
     conn.createStatement.execute(s"CREATE TABLE $table ($ddl)")
     val ps = conn.prepareStatement(s"INSERT INTO $table VALUES (${cols.map(_ => "?").mkString(",")})")
@@ -47,7 +47,7 @@ object DuckDb {
   /** The remaining rows of `rs`, column `i` read as a Spark value of
     * type `types(i)`.
     */
-  def rows(rs: ResultSet, types: IndexedSeq[DataType]): Vector[Row] = {
+  private def rows(rs: ResultSet, types: IndexedSeq[DataType]): Vector[Row] = {
     val buf = Vector.newBuilder[Row]
     while (rs.next()) buf += Row.fromSeq(types.indices.map { i =>
       (types(i), rs.getObject(i + 1)) match {
@@ -60,5 +60,34 @@ object DuckDb {
       }
     })
     buf.result()
+  }
+
+  /** A term as one DuckDB query: the relations it reads, each as
+    * (name, columns, DuckDB types), its SQL, and its output schema.
+    */
+  final case class Query(tables: Vector[(String, Vector[String], Vector[String])], sql: String,
+                         schema: StructType) {
+
+    /** Run on a fresh database, each relation `n` loaded from
+      * `rows(n, its columns)`.
+      */
+    def run(rows: (String, Vector[String]) => Iterable[Seq[Any]]): Vector[Row] = withConnection { conn =>
+      tables.foreach { case (n, cols, types) => load(conn, table(n), cols, types, rows(n, cols)) }
+      DuckDb.rows(conn.createStatement.executeQuery(sql), schema.fields.map(_.dataType).toVector)
+    }
+  }
+
+  /** Translate `t` with [[SqlGen]]; `schemaOf` types a term. Every
+    * column type is mapped here, so an unsupported one throws a
+    * [[MuRaError]] before any query runs.
+    */
+  def compile(t: Term, schemaOf: Term => StructType): Query = {
+    val rels = t.freeRels.toVector.sorted.map(n => n -> schemaOf(Rel(n)))
+    val gen = new SqlGen(rels.map { case (n, _) => n -> table(n) }.toMap,
+      rels.map { case (n, s) => n -> s.fieldNames.toSeq }.toMap)
+    val tables = rels.map { case (n, s) =>
+      (n, s.fieldNames.toVector, s.fields.map(f => duckType(f.dataType)).toVector)
+    }
+    Query(tables, gen.select(t, Map.empty)._1, schemaOf(t))
   }
 }

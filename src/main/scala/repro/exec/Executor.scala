@@ -15,7 +15,8 @@ import repro.core.Analysis.Catalog
   *    has a stable column, partition by it and run `P_plw^s`; otherwise
   *    run `P_gld`.
   *  - The `Force*` choices pin a plan (used for the Fig. 7 / Fig. 9
-  *    ablations).
+  *    ablations). `P_plw^s` and `P_plw^pg` are the same region plan and
+  *    differ only in the engine each task runs its local loop on.
   */
 sealed trait PlanChoice
 object PlanChoice {
@@ -29,7 +30,7 @@ final case class ExecConfig(
     plan: PlanChoice = PlanChoice.Auto,
     nPartitions: Int = 16,
     maxIters: Int = 100000,
-    /** Largest base relation, in rows, that `P_plw^s` collects to the
+    /** Largest base relation, in rows, that `P_plw` collects to the
       * driver and broadcasts; a fixpoint that reads a larger one runs
       * `P_gld` instead (see [[Broadcasts]]).
       */
@@ -41,7 +42,7 @@ final case class ExecConfig(
     semiNaive: Boolean = true,
 )
 
-/** Base relations collected to the driver and broadcast to `P_plw^s`
+/** Base relations collected to the driver and broadcast to `P_plw`
   * tasks: each at most once, when first needed, and only when it has at
   * most `maxRows` rows. [[refused]] records why the others were not.
   */
@@ -63,7 +64,7 @@ final class Broadcasts(spark: SparkSession, catalog: Map[String, DataFrame], max
   }
 }
 
-/** The `P_plw^s` partition a row belongs to, from the values of its
+/** The `P_plw` partition a row belongs to, from the values of its
   * partition columns. Task-side selections and exchanges both use it, so
   * an exchanged row lands in the task whose selection it passes.
   */
@@ -118,33 +119,31 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
 
   private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame =
     if (inRegion(fix)) {
-      val (cols, rows) = region(fix)
-      spark.createDataFrame(rows.map(Row.fromSeq), schemaOf(fix, cols))
+      val (_, rows) = region(fix)
+      spark.createDataFrame(rows.map(Row.fromSeq), Executor.schemaOf(fix, env))
     } else {
       val (constT, varB) = Analysis.decompose(fix)
       val rDf = evalRec(constT, rec).distinct()
       if (varB.isEmpty) rDf
       else {
         // Materialize constant subterms of φ that contain fixpoints so they
-        // are computed once, not per iteration / per worker.
+        // are computed once, not per iteration.
         val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
-        if (cfg.plan == PlanChoice.ForcePlwPg) {
-          val stable = Stabilizer.stableCols(fix, cat).toSeq.sorted
-          pPlwPg(rDf, fix.x, phiBranches, hoisted, stable, finalDistinct = stable.isEmpty)
-        } else pGld(rDf, fix.x, Term.unionAll(phiBranches), hoisted)
+        pGld(rDf, fix.x, Term.unionAll(phiBranches), hoisted)
       }
     }
 
-  /** Whether `fix` runs as a `P_plw^s` region: under `ForcePlwS` always,
-    * under `Auto` when it has a stable column, and in both cases only
-    * when every base relation it reads may be broadcast; otherwise it
-    * runs `P_gld`, and [[Broadcasts.refused]] holds the reason.
+  /** Whether `fix` runs as a `P_plw` region: under `ForcePlwS` and
+    * `ForcePlwPg` always, under `Auto` when it has a stable column, and
+    * in each case only when every base relation it reads may be
+    * broadcast; otherwise it runs `P_gld`, and [[Broadcasts.refused]]
+    * holds the reason.
     */
   private def inRegion(fix: Fix): Boolean = {
     val planned = cfg.plan match {
-      case PlanChoice.ForcePlwS => true
-      case PlanChoice.Auto      => Stabilizer.stableCols(fix, cat).nonEmpty
-      case _                    => false
+      case PlanChoice.ForcePlwS | PlanChoice.ForcePlwPg => true
+      case PlanChoice.Auto                              => Stabilizer.stableCols(fix, cat).nonEmpty
+      case PlanChoice.ForceGld                          => false
     }
     planned && fix.freeRels.forall(n => broadcasts(n).isRight)
   }
@@ -165,8 +164,6 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     (branches.map(go), extra)
   }
 
-  private def envWith(extra: Map[String, DataFrame]): Map[String, DataFrame] = env ++ extra
-
   // -------------------------------------------------------------------
   // P_gld: global loop on the driver (Sec. IV-A1, Algorithm 1)
   // -------------------------------------------------------------------
@@ -176,9 +173,9 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * and a union — each a shuffle across the cluster, which is exactly
     * the communication cost P_plw removes.
     */
-  def pGld(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame]): DataFrame = {
+  private def pGld(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame]): DataFrame = {
     val cols = rDf.columns.toSeq
-    val e = envWith(extra)
+    val e = env ++ extra
     val relEnv: Map[String, DataFrame] = phi.freeRels.map(n => n -> e(n)).toMap
     val sub = new Executor(spark, relEnv, cfg)
     var total = rDf.localCheckpoint(true)
@@ -205,14 +202,14 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   }
 
   // -------------------------------------------------------------------
-  // P_plw^s: region execution, parallel local loops on the workers,
-  // SetRDD-style (Sec. IV-A2 / IV-B)
+  // P_plw^s and P_plw^pg: region execution, parallel local loops on the
+  // workers (Sec. IV-A2 / IV-B)
   // -------------------------------------------------------------------
 
-  /** Run `fix` as one region: a single task set whose task `k` evaluates,
-    * with [[LocalEval]], `fix` restricted to the tuples whose partition
-    * column `c` falls in bucket `k`. The stable column `c` licenses
-    * pushing that selection into the constant part (Prop. 3) and, through
+  /** Run `fix` as one region: a single task set whose task `k` evaluates
+    * `fix` restricted to the tuples whose partition column `c` falls in
+    * bucket `k`. The stable column `c` licenses pushing that selection
+    * into the constant part (Prop. 3) and, through
     * [[Stabilizer.pushSelection]], on into every nested fixpoint on which
     * `c` is stable too, so the whole chain runs in the same task and no
     * data crosses the cluster during the recursion. The selection stops
@@ -225,8 +222,13 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * A nested fixpoint the selection never reaches (in φ, on a join side
     * without `c`) runs as its own region and is sent whole to every task.
     * With a stable column the tasks' results are disjoint; without one
-    * (`ForcePlwS`) the partition key is the whole row and a final
-    * distinct merges them.
+    * (`ForcePlwS`, `ForcePlwPg`) the partition key is the whole row and a
+    * final distinct merges them.
+    *
+    * The task runs its local loop with [[LocalEval]] (`P_plw^s`, the
+    * SetRDD-style engine) or, under `ForcePlwPg`, as one query on a
+    * per-task DuckDB (`P_plw^pg`, DuckDB substituting PostgreSQL, see
+    * DESIGN.md §2).
     *
     * @return the output columns (sorted) and the rows in that order
     */
@@ -271,6 +273,11 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     val fixCols = fixes.map { case (name, _, (fCols, _)) => (name, fCols) }
     val bases = (local.freeRels ++ slices.flatMap(_._2.freeRels)).filter(env.contains)
       .map(b => b -> broadcasts(b).fold(why => throw MuRaError(why), identity)).toMap
+    // Made here, on the driver, so that an unsupported column type fails
+    // as a MuRaError when the region is built, not inside a Spark job.
+    val duck = Option.when(cfg.plan == PlanChoice.ForcePlwPg) {
+      DuckDb.compile(local, Executor.schemaOf(_, env, inputs.map { case ((t, _), name) => name -> t }.toMap))
+    }
 
     val rows = feed.mapPartitionsWithIndex { (k, it) =>
       val got = it.toVector.groupMap(_._2._1)(_._2._2)
@@ -283,7 +290,10 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
         val idx = cs.map(r.colIdx)
         taskEnv += name -> LocalRel(r.cols, r.rows.filter(row => Bucket.of(idx.map(row), n) == k))
       }
-      LocalEval.eval(local, taskEnv, maxIters = maxIters).aligned(cols).rows.iterator
+      duck match {
+        case None    => LocalEval.eval(local, taskEnv, maxIters = maxIters).aligned(cols).rows.iterator
+        case Some(q) => q.run((name, cs) => taskEnv(name).aligned(cs).rows).iterator.map(_.toSeq.toVector)
+      }
     }
     (cols, if (stable.nonEmpty) rows else rows.distinct(n))
   }
@@ -296,11 +306,21 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       val cols = df.columns.toVector.sorted
       (cols, df.select(cols.map(col): _*).rdd.map(_.toSeq.toVector))
     }
+}
 
-  /** Spark schema of a fixpoint's output columns, from the base relations. */
-  private def schemaOf(fix: Fix, cols: Vector[String]): StructType = {
+object Executor {
+
+  /** Spark schema of `t`, its columns sorted: the typed sort, with types
+    * from the relations in `env`. `in` gives the term each of a region's
+    * `__in_*` inputs stands for.
+    */
+  def schemaOf(t: Term, env: Map[String, DataFrame], in: Map[String, Term] = Map.empty): StructType = {
     def types(t: Term): Map[String, DataType] = t match {
-      case Rel(n)           => env(n).schema.fields.map(f => f.name -> f.dataType).toMap
+      case Rel(n) => in.get(n) match {
+        case Some(u) => types(u)
+        case None    => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
+                          .schema.fields.map(f => f.name -> f.dataType).toMap
+      }
       case Rename(f, to, s) => val m = types(s); m - f + (to -> m(f))
       case AntiProj(c, s)   => types(s) - c
       case Join(l, r)       => types(l) ++ types(r)
@@ -310,56 +330,6 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       case f: Fix           => types(f.branches._1.head)
       case RecVar(x)        => throw MuRaError(s"unbound recursive variable $x")
     }
-    val ty = types(fix)
-    StructType(cols.map(c => StructField(c, ty(c), nullable = true)))
-  }
-
-  // -------------------------------------------------------------------
-  // P_plw^pg: parallel local loops inside a per-worker RDBMS
-  // (substitution: DuckDB for PostgreSQL — see DESIGN.md)
-  // -------------------------------------------------------------------
-
-  /** Same partitioning as P_plw^s, but each worker loads its slice of the
-    * constant part (the paper's per-worker PostgreSQL *view*) plus φ's
-    * relations into an in-process DuckDB and runs the translated
-    * `WITH RECURSIVE` query, streaming the result back as an iterator.
-    */
-  def pPlwPg(rDf: DataFrame, x: String, phiBranches: List[Term],
-             extra: Map[String, DataFrame], stable: Seq[String],
-             finalDistinct: Boolean): DataFrame = {
-    val schema = rDf.schema
-    val colsVec = schema.fieldNames.toVector
-    val e = envWith(extra)
-    val relNames = Term.unionAll(phiBranches).freeRels.toSeq.sorted
-    // (table, columns, DuckDB types, rows) of each relation φ reads, as
-    // plain values: the task closure must not capture `this` (it is not
-    // serializable)
-    val relData: Seq[(String, Vector[String], Vector[String], Vector[Vector[Any]])] =
-      relNames.map { n =>
-        val df = e(n)
-        (DuckDb.table(n), df.columns.toVector, df.schema.fields.map(f => DuckDb.duckType(f.dataType)).toVector,
-          df.collect().toVector.map(_.toSeq.toVector))
-      }
-    val gen = new SqlGen(
-      relTable = relNames.map(n => n -> DuckDb.table(n)).toMap,
-      relCols = relNames.map(n => n -> e(n).columns.toSeq).toMap)
-    val fixSql = gen.localFixpointQuery(phiBranches, x, "part_r", colsVec)
-    val partTypes = schema.fields.map(f => DuckDb.duckType(f.dataType)).toVector
-    val bc = spark.sparkContext.broadcast(relData)
-    val parted =
-      if (stable.nonEmpty) rDf.repartition(cfg.nPartitions, stable.map(col): _*)
-      else rDf.repartition(cfg.nPartitions)
-    val outTypes = schema.fields.map(_.dataType).toVector
-    val rowRdd = parted.rdd.mapPartitions { it =>
-      val rows = it.map(_.toSeq.toVector).toVector
-      if (rows.isEmpty) Iterator.empty
-      else DuckDb.withConnection { conn =>
-        bc.value.foreach { case (table, cols, types, data) => DuckDb.load(conn, table, cols, types, data) }
-        DuckDb.load(conn, "part_r", colsVec, partTypes, rows)
-        DuckDb.rows(conn.createStatement.executeQuery(fixSql), outTypes).iterator
-      }
-    }
-    val df = spark.createDataFrame(rowRdd, schema)
-    if (finalDistinct) df.distinct() else df
+    StructType(types(t).toSeq.sortBy(_._1).map { case (c, ty) => StructField(c, ty, nullable = true) })
   }
 }

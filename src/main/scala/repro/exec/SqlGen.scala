@@ -3,7 +3,7 @@ package repro.exec
 import repro.core._
 
 /** μ-RA → SQL translation for the RDBMS-backed physical plans
-  * (`P_plw^pg` per-partition local fixpoints and the Centralized μ-RA
+  * (the local loop of a `P_plw^pg` region task and the Centralized μ-RA
   * baseline). Fixpoints become `WITH RECURSIVE … UNION …` — the RDBMS's
   * own semi-naive, set-semantics iteration, which is exactly how the
   * paper's PostgreSQL backend evaluates the local fixpoints.
@@ -115,24 +115,5 @@ final class SqlGen(relTable: Map[String, String], relCols: Map[String, Seq[Strin
         val step = stepSqls.mkString(" UNION ")
         (s"(WITH RECURSIVE $fx AS (($base) UNION ($step)) SELECT ${cols.map(id).mkString(", ")} FROM $fx)", cols)
       }
-  }
-
-  /** Recursive-CTE query for one `P_plw^pg` worker: the worker's slice of
-    * the constant part is preloaded in table `partTable`; the variable
-    * part φ refers to the recursive variable `x`.
-    */
-  def localFixpointQuery(phiBranches: Seq[Term], x: String, partTable: String,
-                         cols: Seq[String]): String = {
-    val sorted = cols.sorted.toVector
-    val fx = alias("fx")
-    val base = s"(SELECT ${sorted.map(id).mkString(", ")} FROM $partTable)"
-    val recEnv = Map(x -> (fx, cols.toSet))
-    val steps = phiBranches.map { b =>
-      val (s, c) = select(b, recEnv)
-      require(c == sorted, s"φ projects $c, expected $sorted")
-      s"($s)"
-    }.mkString(" UNION ")
-    // Final projection in the caller's requested column order.
-    s"WITH RECURSIVE $fx AS (($base) UNION ($steps)) SELECT ${cols.map(id).mkString(", ")} FROM $fx"
   }
 }

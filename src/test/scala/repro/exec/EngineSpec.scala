@@ -128,6 +128,19 @@ class EngineSpec extends SparkSpec {
     assert(error(Engines.distMuRAPlwPg(spark, cat, Map.empty, 2).run(t).collect()).contains("DateType"))
   }
 
+  test("Centralized mu-RA returns a BooleanType column with the same schema and rows as Dist-mu-RA") {
+    val e = spark.createDataFrame(Seq((1L, 2L), (2L, 3L), (3L, 4L))).toDF("src", "trg")
+    val b = spark.createDataFrame(Seq((1L, 2L, true), (3L, 4L, false))).toDF("src", "trg", "ok")
+    val cat = Map("E" -> e, "B" -> b)
+    // B ∘ E*, carrying B's flag along
+    val t = Fix("X", Union(Rel("B"),
+      AntiProj("m", Join(Rename("trg", "m", RecVar("X")), Rename("src", "m", Rel("E"))))))
+    val central = new CentralizedMuRA(spark, cat, Map.empty).run(t)
+    val dist = Engines.distMuRA(spark, cat, Map.empty, 2).run(t)
+    assert(central.schema == dist.schema)
+    assert(resultOf(central) == resultOf(dist))
+  }
+
   test("engine rejects non-F_cond terms") {
     val eng = Engines.distMuRA(spark, catalog, consts, 4)
     assertThrows[MuRaError](

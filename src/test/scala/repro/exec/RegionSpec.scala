@@ -11,12 +11,13 @@ import repro.graphdata.GraphData
 import repro.queries.PaperQueries
 import repro.ucrpq.Query2Mu
 
-/** Region execution of `P_plw^s`: the partition selection pushed down a
-  * fixpoint chain gives disjoint per-task results whose union is the
-  * fixpoint, on every plan the rewriter finds; nested fixpoints with
-  * another stable column are exchanged in; a base relation above
-  * `broadcastThreshold` falls back to `P_gld`; and a warm engine builds
-  * a plan without running a Spark job.
+/** Region execution of `P_plw^s` and `P_plw^pg`: the partition
+  * selection pushed down a fixpoint chain gives disjoint per-task results
+  * whose union is the fixpoint, on every plan the rewriter finds, and the
+  * same per-task results whichever engine runs the tasks; nested
+  * fixpoints with another stable column are exchanged in; a base relation
+  * above `broadcastThreshold` falls back to `P_gld`; and a warm engine
+  * builds a plan without running a Spark job.
   */
 class RegionSpec extends SparkSpec {
 
@@ -45,7 +46,9 @@ class RegionSpec extends SparkSpec {
 
   /** Every plan of `query` on 1, 3 and 4 partitions: the result equals
     * the unoptimised term on [[LocalEval]], and each outermost region's
-    * tasks return disjoint sets whose union is that fixpoint.
+    * tasks return disjoint sets whose union is that fixpoint. At 3
+    * partitions `P_plw^pg` gives the same result, and the same set in
+    * each task.
     */
   private def checkPlans(g: DataFrame, constants: Map[String, Any], query: String): Unit = {
     val env = local(g)
@@ -59,17 +62,26 @@ class RegionSpec extends SparkSpec {
     val pool = Executors.newFixedThreadPool(4)
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
     try {
-      val checks = for (n <- Seq(1, 3, 4)) yield {
-        val ex = new Executor(spark, Map(Query2Mu.GraphRel -> g), ExecConfig(PlanChoice.Auto, n, 1000))
+      def executor(plan: PlanChoice, n: Int): Executor = {
+        val ex = new Executor(spark, Map(Query2Mu.GraphRel -> g), ExecConfig(plan, n, 1000))
         ex.broadcasts(Query2Mu.GraphRel)
+        ex
+      }
+      def tasks(ex: Executor, f: Fix): Seq[Set[Vector[Any]]] =
+        ex.region(f)._2.glom().collect().toSeq.map(_.toSet)
+      val checks = for (n <- Seq(1, 3, 4)) yield {
+        val ex = executor(PlanChoice.Auto, n)
+        val pg = Option.when(n == 3)(executor(PlanChoice.ForcePlwPg, n))
         plans.map(p => Future {
           assert(rowsOf(ex.eval(p)) == expected, s"n=$n: ${p.pretty}")
+          pg.foreach(pg => assert(rowsOf(pg.eval(p)) == expected, s"P_plw^pg n=$n: ${p.pretty}"))
           outerFixes(p).filter(Stabilizer.stableCols(_, cat).nonEmpty).foreach { f =>
-            val parts = ex.region(f)._2.glom().collect().map(_.toSet)
+            val parts = tasks(ex, f)
             assert(parts.length == n)
             val union = parts.foldLeft(Set.empty[Vector[Any]])(_ ++ _)
             assert(parts.map(_.size).sum == union.size, s"n=$n: tasks overlap on ${f.pretty}")
             assert(union.map(_.toSeq) == rowsOf(LocalEval.eval(f, env)), s"n=$n: ${f.pretty}")
+            pg.foreach(pg => assert(tasks(pg, f) == parts, s"P_plw^pg n=$n: tasks differ on ${f.pretty}"))
           }
         })
       }
@@ -121,21 +133,25 @@ class RegionSpec extends SparkSpec {
     val q = PaperQueries.concatClosure(labels)
     val t = Query2Mu.translate(q, Map.empty)
     val plan = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4).optimize(t)
-    val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG),
-      ExecConfig(PlanChoice.Auto, 4, 1000, broadcastThreshold = 5))
-    assert(rowsOf(ex.eval(plan)) == rowsOf(LocalEval.eval(t, local(concatG))))
-    assert(ex.broadcasts.refused.keySet == Set(Query2Mu.GraphRel))
+    for (choice <- Seq(PlanChoice.Auto, PlanChoice.ForcePlwPg)) {
+      val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG),
+        ExecConfig(choice, 4, 1000, broadcastThreshold = 5))
+      assert(rowsOf(ex.eval(plan)) == rowsOf(LocalEval.eval(t, local(concatG))), choice)
+      assert(ex.broadcasts.refused.keySet == Set(Query2Mu.GraphRel), choice)
+    }
   }
 
   test("concat n3: no Spark job while building, at most two to count; broadcast once, not in warmup") {
-    val eng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
-    eng.warmup()
-    val plan = eng.plan(PaperQueries.concatClosure(labels))
-    val (_, firstBuild) = SparkJobs.during(spark)(eng.execute(plan))
-    assert(firstBuild > 0, "the first query collects the base relation")
-    val (df, build) = SparkJobs.during(spark)(eng.execute(plan))
-    val (_, count) = SparkJobs.during(spark)(df.count())
-    assert(build == 0)
-    assert(count <= 2, s"$count jobs")
+    for (engine <- Seq(Engines.distMuRA _, Engines.distMuRAPlwPg _)) {
+      val eng = engine(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+      eng.warmup()
+      val plan = eng.plan(PaperQueries.concatClosure(labels))
+      val (_, firstBuild) = SparkJobs.during(spark)(eng.execute(plan))
+      assert(firstBuild > 0, s"${eng.cfg.name}: the first query collects the base relation")
+      val (df, build) = SparkJobs.during(spark)(eng.execute(plan))
+      val (_, count) = SparkJobs.during(spark)(df.count())
+      assert(build == 0, eng.cfg.name)
+      assert(count <= 2, s"${eng.cfg.name}: $count jobs")
+    }
   }
 }

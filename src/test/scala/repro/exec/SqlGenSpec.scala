@@ -1,6 +1,6 @@
 package repro.exec
 
-import org.apache.spark.sql.types.LongType
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.TestGraphs._
@@ -10,27 +10,17 @@ import repro.core.TestGraphs._
   */
 class SqlGenSpec extends AnyFunSuite {
 
-  private def withDuck[A](tables: Map[String, Set[(Long, Long)]])(f: java.sql.Connection => A): A =
-    DuckDb.withConnection { conn =>
-      tables.foreach { case (n, rows) =>
-        DuckDb.load(conn, n, Seq("src", "trg"), Seq("BIGINT", "BIGINT"), rows.map { case (a, b) => Seq(a, b) })
-      }
-      f(conn)
-    }
+  private val env = Map("E" -> rel(paperE), "S" -> rel(paperS))
+  private val cat: Analysis.Catalog = Map("E" -> Set("src", "trg"), "S" -> Set("src", "trg"))
 
-  private def gen = new SqlGen(
-    relTable = Map("E" -> "e_tab", "S" -> "s_tab"),
-    relCols = Map("E" -> Seq("src", "trg"), "S" -> Seq("src", "trg")))
-
-  private def runSql(conn: java.sql.Connection, sql: String, cols: Vector[String]): Set[Vector[Any]] =
-    DuckDb.rows(conn.createStatement.executeQuery(sql), cols.map(_ => LongType)).map(_.toSeq.toVector).toSet
-
+  /** `t` compiled to SQL by [[DuckDb.compile]] (every column a BIGINT)
+    * and run on DuckDB gives what [[LocalEval]] gives.
+    */
   private def check(t: Term): Unit = {
-    val (sql, cols) = gen.select(t, Map.empty)
-    val local = LocalEval.eval(t, Map("E" -> rel(paperE), "S" -> rel(paperS)))
-    val expected = local.aligned(cols).rows.toSet
-    val got = withDuck(Map("e_tab" -> paperE, "s_tab" -> paperS))(runSql(_, sql, cols))
-    assert(got == expected, s"SQL result differs for ${t.pretty}\n$sql")
+    val q = DuckDb.compile(t, u => StructType(Analysis.sort(u, cat).toSeq.sorted.map(StructField(_, LongType))))
+    val expected = LocalEval.eval(t, env).aligned(q.schema.fieldNames.toVector).rows.toSet
+    val got = q.run((n, cols) => env(n).aligned(cols).rows).map(_.toSeq.toVector).toSet
+    assert(got == expected, s"SQL result differs for ${t.pretty}\n${q.sql}")
   }
 
   test("base relation") { check(Rel("E")) }
@@ -63,15 +53,6 @@ class SqlGenSpec extends AnyFunSuite {
 
   test("fixpoint inside a filter (post-filtered closure)") {
     check(Filter(EqConst("trg", 6L), closureE))
-  }
-
-  test("localFixpointQuery computes a per-partition fixpoint") {
-    val (_, varB) = Analysis.decompose(example2)
-    val sql = gen.localFixpointQuery(varB, "X", "part_r", Seq("src", "trg"))
-    val got = withDuck(Map("e_tab" -> paperE, "part_r" -> paperS))(
-      runSql(_, sql, Vector("src", "trg")))
-    assert(got.map(v => (v(0).asInstanceOf[Long], v(1).asInstanceOf[Long])) ==
-      bruteFrom(paperS, paperE))
   }
 
   test("string literals are escaped") {
