@@ -10,10 +10,11 @@ final case class RelStats(rows: Double, distinct: Map[String, Double]) {
   def d(c: String): Double = distinct.getOrElse(c, math.max(1.0, rows / 2))
 }
 
-/** Cardinality + cost estimate of a (sub)term. `cost` accumulates the
-  * sizes of all intermediate relations produced — the quantity the paper
-  * minimizes implicitly by preferring plans with small intermediate
-  * results (Sec. I, Sec. III).
+/** Cardinality + cost estimate of a (sub)term. `distinct` has one entry
+  * per column of the term, so its key set is the term's sort. `cost`
+  * accumulates the sizes of all intermediate relations produced — the
+  * quantity the paper minimizes implicitly by preferring plans with small
+  * intermediate results (Sec. I, Sec. III).
   */
 final case class Est(rows: Double, distinct: Map[String, Double], cost: Double) {
   def d(c: String): Double = distinct.getOrElse(c, math.max(1.0, rows / 2))
@@ -31,21 +32,18 @@ object Cost {
     */
   val DefaultDepth = 10
 
-  private final case class Env(rec: Map[String, Est], recSorts: Map[String, Set[String]])
-  private val emptyEnv = Env(Map.empty, Map.empty)
-
+  /** Estimate of a closed term. Throws [[MuRaError]] on an unbound
+    * recursive variable or a fixpoint that violates φ(∅)=∅.
+    */
   def estimate(t: Term, stats: Map[String, RelStats], cat: Catalog): Est =
-    est(t, stats, cat, emptyEnv)
+    est(t, stats, cat, Map.empty)
 
-  private def sortOf(t: Term, cat: Catalog, env: Env): Set[String] =
-    Analysis.sort(t, cat, env.recSorts)
-
-  private def est(t: Term, stats: Map[String, RelStats], cat: Catalog, env: Env): Est = t match {
+  private def est(t: Term, stats: Map[String, RelStats], cat: Catalog, env: Map[String, Est]): Est = t match {
     case Rel(n) =>
       val s = stats.getOrElse(n, RelStats(1000.0, Map.empty))
       Est(s.rows, cat(n).map(c => c -> s.d(c)).toMap, 0.0)
 
-    case RecVar(x) => env.rec.getOrElse(x, Est(1000.0, Map.empty, 0.0))
+    case RecVar(x) => env.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
 
     case Filter(EqConst(c, _), s) =>
       val e = est(s, stats, cat, env)
@@ -61,7 +59,7 @@ object Cost {
     case Join(l, r) =>
       val el = est(l, stats, cat, env)
       val er = est(r, stats, cat, env)
-      val common = sortOf(l, cat, env) intersect sortOf(r, cat, env)
+      val common = el.distinct.keySet intersect er.distinct.keySet
       val denom = common.foldLeft(1.0)((acc, c) => acc * math.max(1.0, math.max(el.d(c), er.d(c))))
       val out = el.rows * er.rows / denom
       val dist = (el.distinct ++ er.distinct).map { case (k, v) => k -> math.min(v, out) }
@@ -90,13 +88,11 @@ object Cost {
       Est(e.rows, (e.distinct - f) + (to -> e.d(f)), e.cost)
 
     case fix @ Fix(x, _) =>
-      val xSort = Analysis.fixSort(fix, cat, env.recSorts)
       val (constT, varB) = Analysis.decompose(fix)
       val e0 = est(constT, stats, cat, env)
       // One φ application on the initial delta, to measure the expansion
       // ratio of a single step.
-      val stepEnv = Env(env.rec + (x -> Est(e0.rows, e0.distinct, 0.0)),
-                        env.recSorts + (x -> xSort))
+      val stepEnv = env + (x -> Est(e0.rows, e0.distinct, 0.0))
       val stepEsts = varB.map(b => est(b, stats, cat, stepEnv))
       val stepRows = stepEsts.map(_.rows).sum
       val stepCost = stepEsts.map(_.cost).sum
@@ -105,11 +101,11 @@ object Cost {
       // per-column value universes. A *stable* column only ever holds
       // values of the constant part; a non-stable column keeps receiving
       // fresh values from φ's joins, so its universe is the global one.
-      val stable = try Stabilizer.stableCols(fix, cat) catch { case MuRaError(_) => Set.empty[String] }
+      val stable = Stabilizer.stableCols(fix, cat)
       val globalUniverse = stats.values.foldLeft(64.0) { (a, s) =>
         math.max(a, s.distinct.values.foldLeft(1.0)(math.max))
       }
-      val cap = xSort.foldLeft(1.0) { (acc, c) =>
+      val cap = e0.distinct.keySet.foldLeft(1.0) { (acc, c) =>
         // A stable column's values come exclusively from the constant
         // part: exactly e0.d(c) of them. Non-stable columns keep
         // receiving fresh values from φ's joins (global universe).
@@ -148,8 +144,5 @@ object Cost {
 
   /** Pick the cheapest plan among candidates (first wins ties). */
   def best(candidates: Seq[Term], stats: Map[String, RelStats], cat: Catalog): Term =
-    candidates.minBy { t =>
-      try estimate(t, stats, cat).cost
-      catch { case MuRaError(_) => Double.MaxValue }
-    }
+    candidates.minBy(estimate(_, stats, cat).cost)
 }

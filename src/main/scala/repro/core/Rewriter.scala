@@ -33,9 +33,10 @@ object RewriteConfig {
   * equivalent logical plans.
   *
   *  - [[normalize]] performs the classical, always-beneficial moves:
-  *    sinking filters and anti-projections toward the leaves and sinking
-  *    renames into fixpoints (pure column relabeling), so that the
-  *    fixpoint-specific rules below see their redexes.
+  *    sinking filters and anti-projections toward the leaves (filters
+  *    below anti-projections) and sinking renames into fixpoints (pure
+  *    column relabeling), so that the fixpoint-specific rules below see
+  *    their redexes.
   *  - [[explore]] applies the five fixpoint rules of Sec. III — pushing
   *    filters / joins / anti-projections into fixpoints, reversing
   *    fixpoints, merging fixpoints — with breadth-first bounded search,
@@ -49,25 +50,21 @@ object Rewriter {
   // Normalization
   // ---------------------------------------------------------------------
 
-  def normalize(t: Term, cat: Catalog): Term = {
-    var cur = t
-    var guard = 0
-    while (guard < 200) {
-      val next = normPass(cur, cat, Map.empty)
-      if (next == cur) return cur
-      cur = next
-      guard += 1
-    }
-    cur
-  }
+  /** Normal form of `t`, by one innermost walk: normalise the children
+    * (the env extended at a `Fix`), try one [[localNorm]] step at the root
+    * and, if one applies, normalise its result. Every step moves a σ or
+    * π̃ strictly down or sinks a ρ into a fixpoint, so the walk ends.
+    * Returns `t` itself when nothing changes.
+    */
+  def normalize(t: Term, cat: Catalog): Term = norm(t, cat, Map.empty)
 
-  private def normPass(t: Term, cat: Catalog, rec: RecEnv): Term = {
-    val u = t match {
-      case fix @ Fix(x, body) =>
-        Fix(x, normPass(body, cat, rec + (x -> Analysis.fixSort(fix, cat, rec))))
-      case _ => t.mapChildren(normPass(_, cat, rec))
+  private def norm(t: Term, cat: Catalog, rec: RecEnv): Term = {
+    val inner = t match {
+      case fix @ Fix(x, _) => rec + (x -> Analysis.fixSort(fix, cat, rec))
+      case _               => rec
     }
-    localNorm(u, cat, rec).getOrElse(u)
+    val u = t.mapChildren(norm(_, cat, inner))
+    localNorm(u, cat, rec).fold(u)(norm(_, cat, rec))
   }
 
   /** One local normalization step at the root of `u`, if any applies. */
@@ -86,8 +83,6 @@ object Rewriter {
 
     // --- anti-projection sinking ----------------------------------------
     case AntiProj(c, Union(l, r)) => Some(Union(AntiProj(c, l), AntiProj(c, r)))
-    case AntiProj(c, Filter(cond, s)) if !cond.cols.contains(c) =>
-      Some(Filter(cond, AntiProj(c, s)))
     case AntiProj(c, Rename(f, o, s)) =>
       if (c == o) Some(AntiProj(f, s)) else Some(Rename(f, o, AntiProj(c, s)))
     case AntiProj(c, Join(l, r)) =>
@@ -101,20 +96,8 @@ object Rewriter {
       if (common.contains(c)) None else Some(Antijoin(AntiProj(c, l), r))
 
     // --- rename sinking into fixpoints (pure relabeling) ----------------
-    case Rename(f, to, Fix(x, body)) =>
-      if (!relabelSafe(body, to, cat)) None
-      else {
-        // If `to` is used internally in the body, relabel those uses to a
-        // fresh name first (it is not in the output sort, so this is a
-        // pure internal relabeling).
-        val avoid = body.allColNames ++ Set(f, to) ++ body.freeRels.flatMap(cat(_))
-        val cleaned =
-          if (body.allColNames.contains(to))
-            Term.renameEverywhere(body, to, Fresh.col(avoid, "r"), cat(_))
-          else body
-        if (!relabelSafe(cleaned, to, cat)) None
-        else Some(Fix(x, Term.renameEverywhere(cleaned, f, to, cat(_))))
-      }
+    case Rename(f, to, Fix(x, body)) if relabelSafe(body, to, cat) =>
+      Some(Fix(x, Term.renameEverywhere(body, f, to, cat(_))))
     case _ => None
   }
 
@@ -129,33 +112,22 @@ object Rewriter {
   // variable branch) — preconditions of the push rules.
   // ---------------------------------------------------------------------
 
-  final case class SpineInfo(
-      renameSources: Set[String], renameTargets: Set[String],
-      filterCols: Set[String], antiProjCols: Set[String],
-      partnerSorts: Set[String]) {
-    def ++(o: SpineInfo): SpineInfo = SpineInfo(
-      renameSources ++ o.renameSources, renameTargets ++ o.renameTargets,
-      filterCols ++ o.filterCols, antiProjCols ++ o.antiProjCols,
-      partnerSorts ++ o.partnerSorts)
-  }
-  private val emptySpine = SpineInfo(Set.empty, Set.empty, Set.empty, Set.empty, Set.empty)
-
-  def spineInfo(t: Term, x: String, cat: Catalog, rec: RecEnv): SpineInfo = {
-    if (!t.usesRec(x)) return emptySpine
-    t match {
-      case RecVar(_)       => emptySpine
-      case Filter(c, s)    => spineInfo(s, x, cat, rec).copy() ++ emptySpine.copy(filterCols = c.cols)
-      case AntiProj(c, s)  => spineInfo(s, x, cat, rec) ++ emptySpine.copy(antiProjCols = Set(c))
-      case Rename(f, o, s) => spineInfo(s, x, cat, rec) ++ emptySpine.copy(renameSources = Set(f), renameTargets = Set(o))
+  /** The columns the spine of `t` filters, drops, renames or joins on
+    * (for a join or antijoin: the partner's whole sort).
+    */
+  private def spineCols(t: Term, x: String, cat: Catalog, rec: RecEnv): Set[String] =
+    if (!t.usesRec(x)) Set.empty
+    else t match {
+      case Filter(c, s)    => spineCols(s, x, cat, rec) ++ c.cols
+      case AntiProj(c, s)  => spineCols(s, x, cat, rec) + c
+      case Rename(f, o, s) => spineCols(s, x, cat, rec) + f + o
       case Join(l, r) =>
-        if (l.usesRec(x)) spineInfo(l, x, cat, rec) ++ emptySpine.copy(partnerSorts = Analysis.sort(r, cat, rec))
-        else spineInfo(r, x, cat, rec) ++ emptySpine.copy(partnerSorts = Analysis.sort(l, cat, rec))
-      case Antijoin(l, r) =>
-        spineInfo(l, x, cat, rec) ++ emptySpine.copy(partnerSorts = Analysis.sort(r, cat, rec))
-      case Union(l, r) => spineInfo(l, x, cat, rec) ++ spineInfo(r, x, cat, rec)
-      case Rel(_) | Fix(_, _) => emptySpine // x cannot occur here under F_cond
+        if (l.usesRec(x)) spineCols(l, x, cat, rec) ++ Analysis.sort(r, cat, rec)
+        else spineCols(r, x, cat, rec) ++ Analysis.sort(l, cat, rec)
+      case Antijoin(l, r) => spineCols(l, x, cat, rec) ++ Analysis.sort(r, cat, rec)
+      case Union(l, r)    => spineCols(l, x, cat, rec) ++ spineCols(r, x, cat, rec)
+      case RecVar(_) | Rel(_) | Fix(_, _) => Set.empty // x cannot occur in Rel/Fix under F_cond
     }
-  }
 
   // ---------------------------------------------------------------------
   // Linear-fixpoint recognition (closures and base-extended closures)
@@ -171,11 +143,9 @@ object Rewriter {
                              xCol: String, eCol: String, k: String, sort: Set[String])
 
   def recognizeLinear(fix: Fix, cat: Catalog): Option[LinearFix] = {
-    val xSort =
-      try Analysis.fixSort(fix, cat) catch { case MuRaError(_) => return None }
+    val xSort = Analysis.fixSort(fix, cat)
     if (xSort.size != 2) return None
-    val varB =
-      try Analysis.decompose(fix)._2 catch { case MuRaError(_) => return None }
+    val varB = Analysis.decompose(fix)._2
     if (varB.size != 1) return None
     varB.head match {
       case AntiProj(k, Join(a, b)) =>
@@ -218,8 +188,7 @@ object Rewriter {
     */
   private def pushFilterRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
     case Filter(cond, fix @ Fix(x, _)) if fix.freeRecVars.isEmpty =>
-      val stable = try Stabilizer.stableCols(fix, cat) catch { case MuRaError(_) => return Vector.empty }
-      if (!cond.cols.subsetOf(stable)) Vector.empty
+      if (!cond.cols.subsetOf(Stabilizer.stableCols(fix, cat))) Vector.empty
       else {
         val (constB, varB) = fix.branches
         Vector(rebuildFix(x, constB.map(Filter(cond, _)), varB))
@@ -235,18 +204,15 @@ object Rewriter {
     case Join(a, b) =>
       def attempt(tConst: Term, fix: Fix): Option[Term] = {
         if (tConst.freeRecVars.nonEmpty || fix.freeRecVars.nonEmpty) return None
-        val stable = try Stabilizer.stableCols(fix, cat) catch { case MuRaError(_) => return None }
+        val stable = Stabilizer.stableCols(fix, cat)
         val fixSort = Analysis.fixSort(fix, cat)
-        val tSort = try Analysis.sort(tConst, cat, rec) catch { case MuRaError(_) => return None }
+        val tSort = Analysis.sort(tConst, cat, rec)
         val j = tSort intersect fixSort
         if (j.isEmpty || !j.subsetOf(stable)) return None
         val extras = tSort -- j
         val (constB, varB) = fix.branches
-        val xs = fixSort
-        val hazards: Set[String] = varB.map { br =>
-          val si = spineInfo(br, fix.x, cat, rec + (fix.x -> xs))
-          si.renameSources ++ si.renameTargets ++ si.filterCols ++ si.antiProjCols ++ si.partnerSorts
-        }.foldLeft(Set.empty[String])(_ ++ _) ++ fix.body.allColNames
+        val hazards: Set[String] =
+          varB.flatMap(spineCols(_, fix.x, cat, rec + (fix.x -> fixSort))).toSet ++ fix.body.allColNames
         // Relabel clashing extra columns of T to fresh names; rename back
         // outside the new fixpoint.
         var t2 = tConst
@@ -279,17 +245,11 @@ object Rewriter {
     */
   private def pushAntiProjRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
     case AntiProj(c, fix @ Fix(x, _)) if fix.freeRecVars.isEmpty =>
-      val stable = try Stabilizer.stableCols(fix, cat) catch { case MuRaError(_) => return Vector.empty }
-      if (!stable.contains(c)) Vector.empty
+      if (!Stabilizer.stableCols(fix, cat).contains(c)) Vector.empty
       else {
         val (constB, varB) = fix.branches
         val xs = Analysis.fixSort(fix, cat)
-        val reads = varB.exists { br =>
-          val si = spineInfo(br, x, cat, rec + (x -> xs))
-          si.partnerSorts.contains(c) || si.filterCols.contains(c) ||
-            si.renameSources.contains(c) || si.renameTargets.contains(c)
-        }
-        if (reads) Vector.empty
+        if (varB.exists(spineCols(_, x, cat, rec + (x -> xs)).contains(c))) Vector.empty
         else Vector(rebuildFix(x, constB.map(AntiProj(c, _)), varB))
       }
     case _ => Vector.empty
@@ -372,9 +332,8 @@ object Rewriter {
                               rule: (Term, Catalog, RecEnv) => Vector[Term]): Vector[Term] = {
     val here = rule(t, cat, rec)
     val inner = t match {
-      case fix @ Fix(x, _) =>
-        try rec + (x -> Analysis.fixSort(fix, cat, rec)) catch { case MuRaError(_) => return here }
-      case _ => rec
+      case fix @ Fix(x, _) => rec + (x -> Analysis.fixSort(fix, cat, rec))
+      case _               => rec
     }
     val cs = t.children
     cs.indices.foldLeft(here) { (acc, i) =>
@@ -404,15 +363,13 @@ object Rewriter {
       Ordering.by[(Double, Long, Term), (Double, Long)](e => (-e._1, -e._2))
     val frontier = mutable.PriorityQueue.empty[(Double, Long, Term)]
     var counter = 0L
-    def safeRank(t: Term): Double =
-      try rank(t) catch { case MuRaError(_) => Double.MaxValue }
     def add(t: Term): Unit = {
       if (seen.size >= cfg.maxPlans * 8) return // frontier memory bound
-      val key = try Analysis.canonical(t, cat) catch { case MuRaError(_) => return }
+      val key = Analysis.canonical(t, cat)
       if (!seen.contains(key)) {
         seen(key) = t
         counter += 1
-        frontier.enqueue((safeRank(t), counter, t))
+        frontier.enqueue((rank(t), counter, t))
       }
     }
     add(start)

@@ -74,6 +74,14 @@ class RewriterSpec extends AnyFunSuite {
     assert(resultSet(t, e2) == resultSet(n, e2))
   }
 
+  test("normalize keeps filters below anti-projections and reaches a normal form") {
+    val labelA = Filter(EqConst("pred", "l"), Rel("G"))
+    val t = Filter(EqConst("trg", 2L), AntiProj("pred", labelA))
+    val n = Rewriter.normalize(t, cat)
+    assert(n == AntiProj("pred", Filter(EqConst("trg", 2L), labelA)), n.pretty)
+    assert(Rewriter.normalize(n, cat) eq n)
+  }
+
   // ------------------------------------------------------------ push filter
 
   test("push filter into fixpoint: stable side is pushed to the constant part") {

@@ -147,6 +147,15 @@ class EngineSpec extends SparkSpec {
       eng.run(Fix("X", Union(edgeTerm, Join(RecVar("X"), RecVar("X"))))))
   }
 
+  test("optimize rejects a fixpoint whose variable part does not vanish on the empty relation") {
+    val e = edgeDf(spark, Set((1L, 2L), (2L, 3L)))
+    val eng = Engines.distMuRA(spark, Map("E" -> e, "S" -> e), Map.empty, 2)
+    // φ = π̃_c(ρ_trg^c(X ∪ E) ⋈ ρ_src^c(E)) is not empty when X is (AnalysisSpec's bad2)
+    val bad = Fix("X", Union(Rel("S"), AntiProj("c",
+      Join(Rename("trg", "c", Union(RecVar("X"), Rel("E"))), Rename("src", "c", Rel("E"))))))
+    assert(intercept[MuRaError](eng.optimize(bad)).getMessage.contains("φ(∅)=∅"))
+  }
+
   private def edgeTerm = Query2Mu.edge("a")
 
   /** Whether `u` filters on the constant N3 outside any antijoin or
