@@ -1,9 +1,8 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** A small in-memory relation: a column ordering plus a set of rows.
-  * Rows are `Vector[Any]` so they hash structurally (set semantics).
+/** A small in-memory relation of values: a column ordering plus rows, the
+  * values of each row in that order. The value-level boundary of
+  * [[LocalEval]].
   */
 final case class LocalRel(cols: Vector[String], rows: Vector[Vector[Any]]) {
   def colIdx(c: String): Int = {
@@ -20,12 +19,12 @@ final case class LocalRel(cols: Vector[String], rows: Vector[Vector[Any]]) {
       LocalRel(order, rows.map(r => idx.map(r)))
     }
 
-  def distinct: LocalRel = LocalRel(cols, rows.distinct)
   def isEmpty: Boolean = rows.isEmpty
   def size: Int = rows.size
 }
 
-/** Single-threaded semi-naive μ-RA evaluation over [[LocalRel]]s.
+/** Single-threaded semi-naive μ-RA evaluation over dictionary-encoded
+  * [[Rows]].
   *
   * This is the engine each worker task runs in the `P_plw^s` physical
   * plan: joins against broadcast relations are hash joins,
@@ -36,158 +35,139 @@ final case class LocalRel(cols: Vector[String], rows: Vector[Vector[Any]]) {
   */
 object LocalEval {
 
-  /** Evaluate a term. `env` binds base relations, `rec` bound recursive
-    * variables. The result is deduplicated (set semantics).
+  /** Evaluate a term over the base relations `env`, encoded with a
+    * dictionary of their own. The result is deduplicated (set semantics).
     */
-  def eval(t: Term, env: Map[String, LocalRel],
-           rec: Map[String, LocalRel] = Map.empty,
-           maxIters: Int = 1_000_000): LocalRel = t match {
-    case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
-    case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
+  def eval(t: Term, env: Map[String, LocalRel], maxIters: Int = 1_000_000): LocalRel = {
+    val (encoded, dict) =
+      Dict.empty.encodeAll(t.freeRels.toVector.sorted.flatMap(n => env.get(n).map(r => (n, r.cols, r.rows))))
+    eval(t, encoded, dict, maxIters).toLocalRel(dict)
+  }
 
-    case fix @ Fix(x, _) =>
-      val (constB, varB) = fix.branches
-      val r0 = constB.map(eval(_, env, rec, maxIters)).reduceLeft { (a, b) =>
-        LocalRel(a.cols, (a.rows ++ b.aligned(a.cols).rows).distinct)
+  /** Evaluate a term over encoded base relations `env`, all decoded by
+    * `dict`, in which filter constants are looked up.
+    */
+  def eval(t: Term, env: Map[String, Rows], dict: Dict, maxIters: Int): Rows =
+    new Eval(env, dict, maxIters)(t)
+
+  private final class Eval(env: Map[String, Rows], dict: Dict, maxIters: Int) {
+
+    def apply(t: Term): Rows = t match {
+      case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
+      case RecVar(x) => throw MuRaError(s"unbound recursive variable $x")
+
+      case fix @ Fix(x, _) =>
+        val (constB, varB) = fix.branches
+        val r0 = constB.map(apply).reduceLeft(union)
+        if (varB.isEmpty) r0 else fixpoint(x, r0, Term.unionAll(varB))
+
+      case op => operator(op, apply)
+    }
+
+    /** The distinct rows of `rs`, each aligned to the columns `cols`. */
+    private def distinct(cols: Vector[String], rs: Rows*): Rows = {
+      val set = new RowSet(cols.length)
+      rs.foreach(set.addAll(_, cols))
+      set.result(cols)
+    }
+
+    /** `l ∪ r`, `r` aligned to the columns of `l`. */
+    private def union(l: Rows, r: Rows): Rows = distinct(l.cols, l, r)
+
+    /** One non-recursive operator over its operands, each evaluated by `sub`. */
+    private def operator(t: Term, sub: Term => Rows): Rows = t match {
+      case Filter(EqConst(c, v), s) =>
+        val r = sub(s)
+        val i = r.colIdx(c)
+        val code = dict.code(v)
+        r.where(row => r.code(row, i) == code)
+
+      case Filter(EqCols(a, b), s) =>
+        val r = sub(s)
+        val ia = r.colIdx(a); val ib = r.colIdx(b)
+        r.where(row => r.code(row, ia) == r.code(row, ib))
+
+      case Join(l, r) =>
+        val lr = sub(l); val rr = sub(r)
+        new Index(rr, rr.cols.filter(lr.cols.contains)).join(lr)
+
+      case Antijoin(l, r) =>
+        val lr = sub(l); val rr = sub(r)
+        new Index(rr, rr.cols.filter(lr.cols.contains)).antijoin(lr)
+
+      case Union(l, r) => union(sub(l), sub(r))
+
+      case AntiProj(c, s) =>
+        val r = sub(s)
+        val i = r.colIdx(c)
+        distinct(r.cols.patch(i, Nil, 1), r)
+
+      case Rename(f, to, s) =>
+        val r = sub(s)
+        val i = r.colIdx(f)
+        if (r.cols.contains(to)) throw MuRaError(s"rename target $to already present in ${r.cols}")
+        new Rows(r.cols.updated(i, to), r.size, r.data)
+
+      case other => throw MuRaError(s"not an operator: ${other.pretty}")
+    }
+
+    /** Semi-naive loop (Algorithm 1 of the paper): apply φ to the new
+      * tuples only, which is sound under F_cond by Proposition 1.
+      */
+    private def fixpoint(x: String, r0: Rows, phi: Term): Rows = {
+      val cols = r0.cols
+      val step = new Step(x)
+      val total = new RowSet(cols.length)
+      total.addAll(r0, cols)
+      var delta = r0
+      var iters = 0
+      while (!delta.isEmpty) {
+        if (Thread.interrupted()) throw new InterruptedException("fixpoint cancelled")
+        iters += 1
+        if (iters > maxIters) throw MuRaError(s"fixpoint exceeded $maxIters iterations")
+        val before = total.size
+        total.addAll(step(phi, delta), cols)
+        delta = total.since(before, cols)
       }
-      if (varB.isEmpty) r0.distinct
-      else fixpoint(x, r0.distinct, Term.unionAll(varB), env, rec, maxIters)
-
-    case op => operator(op, eval(_, env, rec, maxIters))
-  }
-
-  /** One non-recursive operator over its operands, each evaluated by `sub`. */
-  private def operator(t: Term, sub: Term => LocalRel): LocalRel = t match {
-    case Filter(EqConst(c, v), s) =>
-      val r = sub(s)
-      val i = r.colIdx(c)
-      LocalRel(r.cols, r.rows.filter(_(i) == v))
-
-    case Filter(EqCols(a, b), s) =>
-      val r = sub(s)
-      val ia = r.colIdx(a); val ib = r.colIdx(b)
-      LocalRel(r.cols, r.rows.filter(row => row(ia) == row(ib)))
-
-    case Join(l, r) => join(sub(l), sub(r))
-
-    case Antijoin(l, r) => antijoin(sub(l), sub(r))
-
-    case Union(l, r) =>
-      val lr = sub(l)
-      val rr = sub(r).aligned(lr.cols)
-      LocalRel(lr.cols, (lr.rows ++ rr.rows).distinct)
-
-    case AntiProj(c, s) =>
-      val r = sub(s)
-      val i = r.colIdx(c)
-      LocalRel(r.cols.patch(i, Nil, 1), r.rows.map(row => row.patch(i, Nil, 1)).distinct)
-
-    case Rename(f, to, s) =>
-      val r = sub(s)
-      val i = r.colIdx(f)
-      if (r.cols.contains(to)) throw MuRaError(s"rename target $to already present in ${r.cols}")
-      LocalRel(r.cols.updated(i, to), r.rows)
-
-    case other => throw MuRaError(s"not an operator: ${other.pretty}")
-  }
-
-  /** Semi-naive loop (Algorithm 1 of the paper): apply φ to the new
-    * tuples only, which is sound under F_cond by Proposition 1.
-    */
-  def fixpoint(x: String, r0: LocalRel, phi: Term,
-               env: Map[String, LocalRel], rec: Map[String, LocalRel],
-               maxIters: Int): LocalRel = {
-    val cols = r0.cols
-    val step = new Step(x, env, rec, maxIters)
-    val total = mutable.LinkedHashSet.empty[Vector[Any]]
-    total ++= r0.rows
-    var delta = r0
-    var iters = 0
-    while (delta.rows.nonEmpty) {
-      if (Thread.interrupted()) throw new InterruptedException("fixpoint cancelled")
-      iters += 1
-      if (iters > maxIters) throw MuRaError(s"fixpoint exceeded $maxIters iterations")
-      val produced = step(phi, delta).aligned(cols)
-      delta = LocalRel(cols, produced.rows.filter(total.add))
+      total.result(cols)
     }
-    LocalRel(cols, total.toVector)
-  }
 
-  /** φ compiled for the loop of one fixpoint: every maximal subterm free
-    * of `x` is evaluated once, and every join or antijoin with an
-    * `x`-free side keeps that side's hash index across iterations, so an
-    * iteration costs O(|Δ| + output), not O(|constant relations|).
-    * Caches are keyed by node identity: φ is the same object on every
-    * iteration.
-    */
-  private final class Step(x: String, env: Map[String, LocalRel],
-                           rec: Map[String, LocalRel], maxIters: Int) {
-    private val values = new java.util.IdentityHashMap[Term, LocalRel]()
-    private val indexes = new java.util.IdentityHashMap[Term, Index]()
-
-    private def value(t: Term): LocalRel = values.computeIfAbsent(t, eval(_, env, rec, maxIters))
-
-    /** Index of the `x`-free operand `side` of `node` on the columns it
-      * shares with the other operand, whose column set is `otherCols`.
+    /** φ compiled for the loop of one fixpoint: every maximal subterm free
+      * of `x` is evaluated once, and every join or antijoin with an
+      * `x`-free side keeps that side's hash index across iterations, so an
+      * iteration costs O(|Δ| + output), not O(|constant relations|).
+      * Caches are keyed by node identity: φ is the same object on every
+      * iteration.
       */
-    private def index(node: Term, side: Term, otherCols: Vector[String]): Index =
-      indexes.computeIfAbsent(node, _ => {
-        val r = value(side)
-        new Index(r, r.cols.filter(otherCols.contains))
-      })
+    private final class Step(x: String) {
+      private val values = new java.util.IdentityHashMap[Term, Rows]()
+      private val indexes = new java.util.IdentityHashMap[Term, Index]()
 
-    def apply(t: Term, delta: LocalRel): LocalRel = t match {
-      case RecVar(`x`) => delta
-      case u if !u.usesRec(x) => value(u)
-      case Join(l, r) if !r.usesRec(x) =>
-        val lr = apply(l, delta)
-        index(t, r, lr.cols).join(lr)
-      case Join(l, r) if !l.usesRec(x) =>
-        val rr = apply(r, delta)
-        index(t, l, rr.cols).join(rr)
-      case Antijoin(l, r) if !r.usesRec(x) =>
-        val lr = apply(l, delta)
-        index(t, r, lr.cols).antijoin(lr)
-      case op => operator(op, apply(_, delta))
-    }
-  }
+      private def value(t: Term): Rows = values.computeIfAbsent(t, Eval.this(_))
 
-  /** Hash index of `rel` on the columns `on`. */
-  private final class Index(rel: LocalRel, on: Vector[String]) {
-    private val extraIdx = rel.cols.indices.filterNot(i => on.contains(rel.cols(i))).toVector
-    private val byKey: Map[Vector[Any], Vector[Vector[Any]]] = {
-      val keyIdx = on.map(rel.colIdx)
-      rel.rows.groupBy(row => keyIdx.map(row))
-    }
+      /** Index of the `x`-free operand `side` of `node` on the columns it
+        * shares with the other operand, whose column set is `otherCols`.
+        */
+      private def index(node: Term, side: Term, otherCols: Vector[String]): Index =
+        indexes.computeIfAbsent(node, _ => {
+          val r = value(side)
+          new Index(r, r.cols.filter(otherCols.contains))
+        })
 
-    /** Natural join `probe ⋈ rel` (`probe` holds all of `on`); columns of
-      * `probe` first.
-      */
-    def join(probe: LocalRel): LocalRel = {
-      val keyIdx = on.map(probe.colIdx)
-      val out = Vector.newBuilder[Vector[Any]]
-      probe.rows.foreach { a =>
-        byKey.get(keyIdx.map(a)).foreach(_.foreach(b => out += (a ++ extraIdx.map(b))))
+      def apply(t: Term, delta: Rows): Rows = t match {
+        case RecVar(`x`) => delta
+        case u if !u.usesRec(x) => value(u)
+        case Join(l, r) if !r.usesRec(x) =>
+          val lr = apply(l, delta)
+          index(t, r, lr.cols).join(lr)
+        case Join(l, r) if !l.usesRec(x) =>
+          val rr = apply(r, delta)
+          index(t, l, rr.cols).join(rr)
+        case Antijoin(l, r) if !r.usesRec(x) =>
+          val lr = apply(l, delta)
+          index(t, r, lr.cols).antijoin(lr)
+        case op => operator(op, apply(_, delta))
       }
-      LocalRel(probe.cols ++ extraIdx.map(rel.cols), out.result())
-    }
-
-    /** Antijoin `probe ▷ rel`. With no common columns a non-empty `rel`
-      * matches every row (the empty key), an empty one none.
-      */
-    def antijoin(probe: LocalRel): LocalRel = {
-      val keyIdx = on.map(probe.colIdx)
-      LocalRel(probe.cols, probe.rows.filterNot(a => byKey.contains(keyIdx.map(a))))
     }
   }
-
-  /** Hash natural join; cartesian product when no common columns. */
-  def join(l: LocalRel, r: LocalRel): LocalRel =
-    new Index(r, r.cols.filter(l.cols.contains)).join(l)
-
-  /** Hash anti-join on common columns; `l ▷ r = l` when r is empty and
-    * there are no common columns, ∅ otherwise.
-    */
-  def antijoin(l: LocalRel, r: LocalRel): LocalRel =
-    new Index(r, r.cols.filter(l.cols.contains)).antijoin(l)
 }

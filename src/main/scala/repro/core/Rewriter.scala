@@ -375,6 +375,7 @@ object Rewriter {
     add(start)
     var expansions = 0
     while (frontier.nonEmpty && expansions < cfg.maxPlans) {
+      if (Thread.interrupted()) throw new InterruptedException("plan exploration cancelled")
       val (_, _, t) = frontier.dequeue()
       expansions += 1
       rules.foreach { rule =>

@@ -45,17 +45,26 @@ final case class ExecConfig(
 /** Base relations collected to the driver and broadcast to `P_plw`
   * tasks: each at most once, when first needed, and only when it has at
   * most `maxRows` rows. [[refused]] records why the others were not.
+  *
+  * A relation is kept and broadcast only dictionary-encoded, with one
+  * dictionary for all of them that only grows: each broadcast carries the
+  * dictionary as it stood then, so the longest of a task's inputs
+  * decodes them all.
   */
 final class Broadcasts(spark: SparkSession, catalog: Map[String, DataFrame], maxRows: Long) {
-  private val cache = mutable.HashMap.empty[String, Either[String, Broadcast[LocalRel]]]
+  private val cache = mutable.HashMap.empty[String, Either[String, Broadcast[(Rows, Dict)]]]
+  private var dict = Dict.empty
 
-  def apply(name: String): Either[String, Broadcast[LocalRel]] = synchronized {
+  def apply(name: String): Either[String, Broadcast[(Rows, Dict)]] = synchronized {
     cache.getOrElseUpdate(name, {
       val df = catalog.getOrElse(name, throw MuRaError(s"unbound relation $name"))
       val rows = df.limit(math.min(maxRows + 1, Int.MaxValue.toLong).toInt).collect()
       if (rows.length > maxRows) Left(s"$name has more than $maxRows rows (broadcastThreshold)")
-      else Right(spark.sparkContext.broadcast(
-        LocalRel(df.columns.toVector, rows.toVector.map(_.toSeq.toVector))))
+      else {
+        val (encoded, d) = dict.encode(df.columns.toVector, rows.iterator.map(_.toSeq))
+        dict = d
+        Right(spark.sparkContext.broadcast((encoded, d)))
+      }
     })
   }
 
@@ -183,6 +192,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     var iters = 0
     var done = false
     while (!done) {
+      if (Thread.interrupted()) throw new InterruptedException("P_gld cancelled")
       iters += 1
       if (iters > cfg.maxIters) throw MuRaError(s"P_gld exceeded ${cfg.maxIters} iterations")
       // Semi-naive applies φ to the delta only (Algorithm 1, sound by
@@ -279,20 +289,26 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       DuckDb.compile(local, Executor.schemaOf(_, env, inputs.map { case ((t, _), name) => name -> t }.toMap))
     }
 
+    // Each task evaluates on codes: the broadcast relations come encoded,
+    // the exchanged rows are encoded here, above the dictionary that
+    // decodes the broadcast ones, and the output is decoded once.
     val rows = feed.mapPartitionsWithIndex { (k, it) =>
       val got = it.toVector.groupMap(_._2._1)(_._2._2)
-      var taskEnv = bases.map { case (b, bc) => b -> bc.value }
-      fixCols.zipWithIndex.foreach { case ((name, fCols), i) =>
-        taskEnv += name -> LocalRel(fCols, got.getOrElse(i, Vector.empty))
-      }
+      val base = bases.map { case (b, bc) => b -> bc.value }
+      val longest = base.valuesIterator.map(_._2).maxByOption(_.size).getOrElse(Dict.empty)
+      val (exchanged, dict) = longest.encodeAll(fixCols.zipWithIndex.map { case ((name, fCols), i) =>
+        (name, fCols, got.getOrElse(i, Vector.empty))
+      })
+      var taskEnv = base.map { case (b, (r, _)) => b -> r } ++ exchanged
       slices.foreach { case (name, t, cs) =>
-        val r = LocalEval.eval(t, taskEnv, maxIters = maxIters)
+        val r = LocalEval.eval(t, taskEnv, dict, maxIters)
         val idx = cs.map(r.colIdx)
-        taskEnv += name -> LocalRel(r.cols, r.rows.filter(row => Bucket.of(idx.map(row), n) == k))
+        taskEnv += name -> r.where(row => Bucket.of(idx.map(i => dict.value(r.code(row, i))), n) == k)
       }
       duck match {
-        case None    => LocalEval.eval(local, taskEnv, maxIters = maxIters).aligned(cols).rows.iterator
-        case Some(q) => q.run((name, cs) => taskEnv(name).aligned(cs).rows).iterator.map(_.toSeq.toVector)
+        case None    => LocalEval.eval(local, taskEnv, dict, maxIters).decode(dict, cols)
+        case Some(q) =>
+          q.run((name, cs) => taskEnv(name).decode(dict, cs).toVector).iterator.map(_.toSeq.toVector)
       }
     }
     (cols, if (stable.nonEmpty) rows else rows.distinct(n))

@@ -128,4 +128,62 @@ class LocalEvalSpec extends AnyFunSuite {
     assertThrows[MuRaError](
       LocalEval.eval(closureE, Map("E" -> rel(randEdges(30, 90, 1))), maxIters = 1))
   }
+
+  // ------------------------------------------------------- edge cases
+
+  test("an Int constant selects from a Long column, whose values stay Long") {
+    val r = LocalEval.eval(Filter(EqConst("src", 1), Rel("E")), env)
+    assert(r.rows.flatten.forall(_.isInstanceOf[Long]))
+    assert(asPairs(r) == paperE.filter(_._1 == 1L))
+  }
+
+  test("String and Boolean columns filter, join and project") {
+    val people = LocalRel(Vector("name", "adult", "city"), Vector(
+      Vector("ann", true, "Paris"), Vector("bob", false, "Paris"), Vector("cy", true, "Rome")))
+    val cities = LocalRel(Vector("city", "country"), Vector(Vector("Paris", "FR"), Vector("Rome", "IT")))
+    val t = AntiProj("city", Join(Filter(EqConst("adult", true), Rel("P")), Rel("C")))
+    val r = LocalEval.eval(t, Map("P" -> people, "C" -> cities))
+    assert(r.aligned(Vector("name", "adult", "country")).rows.toSet ==
+      Set(Vector("ann", true, "FR"), Vector("cy", true, "IT")))
+  }
+
+  test("null is a value: it is selected, joined and deduplicated like any other") {
+    val n = LocalRel(Vector("src", "trg"), Vector(Vector(1L, null), Vector(null, 2L), Vector(1L, null)))
+    val e = Map("N" -> n)
+    assert(LocalEval.eval(Union(Rel("N"), Rel("N")), e).size == 2)
+    assert(LocalEval.eval(Filter(EqConst("trg", null), Rel("N")), e).rows.toSet == Set(Vector(1L, null)))
+    assert(asPairs(LocalEval.eval(Term.compose(Rel("N"), Rel("N")), e)) == Set((1L, 2L)))
+  }
+
+  test("duplicate input rows count once in unions, anti-projections and fixpoints") {
+    val dup = LocalRel(Vector("src", "trg"), rel(paperE).rows ++ rel(paperE).rows)
+    val e = Map("E" -> dup)
+    assert(LocalEval.eval(Union(Rel("E"), Rel("E")), e).size == paperE.size)
+    assert(LocalEval.eval(AntiProj("trg", Rel("E")), e).size == paperE.map(_._1).size)
+    val c = LocalEval.eval(closureE, e)
+    assert(c.size == bruteClosure(paperE).size)
+    assert(asPairs(c) == bruteClosure(paperE))
+  }
+
+  test("anti-projection down to zero columns gives {()} or ∅, which joins and antijoins respect") {
+    val unit = AntiProj("trg", AntiProj("src", Rel("E")))
+    val none = AntiProj("trg", AntiProj("src", Filter(EqConst("src", 99L), Rel("E"))))
+    val r = LocalEval.eval(unit, env)
+    assert(r.cols.isEmpty && r.size == 1)
+    assert(LocalEval.eval(none, env).isEmpty)
+    assert(asPairs(LocalEval.eval(Join(Rel("E"), unit), env)) == paperE)
+    assert(LocalEval.eval(Join(Rel("E"), none), env).isEmpty)
+    assert(LocalEval.eval(Antijoin(Rel("E"), unit), env).isEmpty)
+    assert(asPairs(LocalEval.eval(Antijoin(Rel("E"), none), env)) == paperE)
+  }
+
+  test("a rename onto a column already present is a MuRaError") {
+    assertThrows[MuRaError](LocalEval.eval(Rename("src", "trg", Rel("E")), env))
+  }
+
+  test("an interrupted fixpoint throws InterruptedException") {
+    Thread.currentThread().interrupt()
+    try assertThrows[InterruptedException](LocalEval.eval(closureE, env))
+    finally Thread.interrupted()
+  }
 }

@@ -2,6 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import TestGraphs._
+import repro.queries.PaperQueries
+import repro.ucrpq.Query2Mu
 
 /** The MuRewriter rules (Sec. III): every rewritten plan must denote the
   * same relation. We verify both rule-level behavior and whole-space
@@ -255,5 +257,12 @@ class RewriterSpec extends AnyFunSuite {
     assert(plans.nonEmpty && plans.size <= 2)
     val none = Rewriter.explore(closureE, cat, RewriteConfig.none)
     assert(none.size == 1)
+  }
+
+  test("explore stops when its thread is interrupted") {
+    val t = Query2Mu.translate(PaperQueries.concatClosure((1 to 6).map(i => s"a$i")), Map.empty)
+    Thread.currentThread().interrupt()
+    try assertThrows[InterruptedException](Rewriter.explore(t, cat, RewriteConfig.all))
+    finally Thread.interrupted()
   }
 }

@@ -141,6 +141,13 @@ class ExecutorSpec extends SparkSpec {
     assertThrows[MuRaError](ex.eval(closureE).count())
   }
 
+  test("P_gld stops when its thread is interrupted") {
+    val ex = exec(PlanChoice.ForceGld)
+    Thread.currentThread().interrupt()
+    try assertThrows[InterruptedException](ex.eval(closureE).count())
+    finally Thread.interrupted()
+  }
+
   test("labeled-graph fixpoint through σ_pred (edge terms)") {
     val g = randLabeled(10, 25, Seq("a", "b"), seed = 3)
     val gDf = labeledDf(spark, g)
