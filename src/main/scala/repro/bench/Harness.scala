@@ -1,13 +1,12 @@
 package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import scala.concurrent.{Await, ExecutionContext, Future, TimeoutException}
-import scala.concurrent.duration._
-import java.util.concurrent.Executors
+import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit, TimeoutException}
 
 /** Benchmark harness: runs one engine invocation with a wall-clock
-  * timeout (cancelling the Spark job group on expiry — the analogue of
-  * the paper's 1000 s timeout in Fig. 9) and renders aligned text tables
+  * timeout (cancelling the Spark job group and interrupting the driver
+  * thread on expiry — the analogue of the paper's 1000 s timeout in
+  * Fig. 9) and renders aligned text tables
   * for EXPERIMENTS.md.
   */
 object Harness {
@@ -23,7 +22,9 @@ object Harness {
     }
   }
 
-  private val pool = ExecutionContext.fromExecutorService(Executors.newCachedThreadPool())
+  private val pool = Executors.newCachedThreadPool { (r: Runnable) =>
+    val t = new Thread(r, "harness-timed"); t.setDaemon(true); t
+  }
 
   /** Default per-run timeout; the paper uses 1000 s on a 160-core
     * cluster — scaled down alongside the datasets.
@@ -31,26 +32,31 @@ object Harness {
   def defaultTimeoutMs: Long = sys.env.getOrElse("BENCH_TIMEOUT_MS", "60000").toLong
 
   /** Execute `mk` (which must both build and *materialize* the result —
-    * we call `.count()` on the returned DataFrame) under a timeout.
+    * we call `.count()` on the returned DataFrame) under a timeout. On
+    * expiry the Spark job group is cancelled and the thread running `mk`
+    * is interrupted, so driver-side work (plan exploration, `P_gld`'s
+    * loop, a local fixpoint) stops too.
     */
   def timed(spark: SparkSession, system: String, qid: String,
             timeoutMs: Long = defaultTimeoutMs)(mk: => DataFrame): Measurement = {
     val group = s"bench-$system-$qid-${System.nanoTime()}"
-    val fut = Future {
-      spark.sparkContext.setJobGroup(group, s"$system/$qid", interruptOnCancel = true)
-      val t0 = System.nanoTime()
-      val rows = mk.count()
-      val ms = (System.nanoTime() - t0) / 1000000
-      (ms, rows)
-    }(pool)
+    val fut = pool.submit(new Callable[(Long, Long)] {
+      def call(): (Long, Long) = {
+        spark.sparkContext.setJobGroup(group, s"$system/$qid", interruptOnCancel = true)
+        val t0 = System.nanoTime()
+        val rows = mk.count()
+        ((System.nanoTime() - t0) / 1000000, rows)
+      }
+    })
     try {
-      val (ms, rows) = Await.result(fut, timeoutMs.millis)
+      val (ms, rows) = fut.get(timeoutMs, TimeUnit.MILLISECONDS)
       Measurement(system, qid, Some(ms), Some(rows))
     } catch {
       case _: TimeoutException =>
         spark.sparkContext.cancelJobGroup(group)
+        fut.cancel(true)
         Measurement(system, qid, None, None, "timeout")
-      case e: Throwable =>
+      case e: ExecutionException =>
         spark.sparkContext.cancelJobGroup(group)
         Measurement(system, qid, None, None, s"fail(${rootCause(e).getClass.getSimpleName})")
     }

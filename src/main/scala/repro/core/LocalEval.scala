@@ -71,8 +71,18 @@ object LocalEval {
       set.result(cols)
     }
 
-    /** `l ∪ r`, `r` aligned to the columns of `l`. */
-    private def union(l: Rows, r: Rows): Rows = distinct(l.cols, l, r)
+    /** `l ∪ r`, `r` aligned to the columns of `l`; both must have the
+      * same columns.
+      */
+    private def union(l: Rows, r: Rows): Rows = {
+      sameCols(l.cols, r.cols)
+      distinct(l.cols, l, r)
+    }
+
+    /** Throws unless `a` and `b` hold the same columns, as a union needs. */
+    private def sameCols(a: Vector[String], b: Vector[String]): Unit =
+      if (a.toSet != b.toSet)
+        throw MuRaError(s"union of different columns: ${a.mkString(",")} vs ${b.mkString(",")}")
 
     /** One non-recursive operator over its operands, each evaluated by `sub`. */
     private def operator(t: Term, sub: Term => Rows): Rows = t match {
@@ -126,7 +136,9 @@ object LocalEval {
         iters += 1
         if (iters > maxIters) throw MuRaError(s"fixpoint exceeded $maxIters iterations")
         val before = total.size
-        total.addAll(step(phi, delta), cols)
+        val produced = step(phi, delta)
+        sameCols(cols, produced.cols)
+        total.addAll(produced, cols)
         delta = total.since(before, cols)
       }
       total.result(cols)

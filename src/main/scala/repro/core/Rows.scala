@@ -12,7 +12,7 @@ import scala.util.hashing.MurmurHash3
   * keeps every code of this one, so rows encoded with any dictionary are
   * decoded by every dictionary grown from it.
   */
-final class Dict private (codes: HashMap[Any, Int], values: Vector[Any]) extends Serializable {
+final class Dict private (codes: HashMap[Any, Int], private[core] val values: Vector[Any]) extends Serializable {
   def size: Int = values.length
 
   /** The code of `v`, or -1 when no value equal to `v` has one. */
@@ -86,13 +86,19 @@ final class Rows(val cols: Vector[String], val size: Int, private[core] val data
     new Rows(cols, count, out.result())
   }
 
-  /** The rows as values, each holding the columns `order` in that order. */
-  def decode(dict: Dict, order: Vector[String]): Iterator[Vector[Any]] = {
-    val idx = order.map(colIdx)
-    Iterator.tabulate(size)(i => idx.map(j => dict.value(data(i * arity + j))))
+  /** The rows as values, each an array of the columns `order` in that order. */
+  def decode(dict: Dict, order: Vector[String]): Iterator[Array[Any]] = {
+    val idx = order.map(colIdx).toArray
+    val values = dict.values.toArray
+    Iterator.tabulate(size) { i =>
+      val row = new Array[Any](idx.length)
+      var j = 0
+      while (j < idx.length) { row(j) = values(data(i * arity + idx(j))); j += 1 }
+      row
+    }
   }
 
-  def toLocalRel(dict: Dict): LocalRel = LocalRel(cols, decode(dict, cols).toVector)
+  def toLocalRel(dict: Dict): LocalRel = LocalRel(cols, decode(dict, cols).map(_.toVector).toVector)
 }
 
 /** Rows hashed and compared on selected columns: `key` lists the column

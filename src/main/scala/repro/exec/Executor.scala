@@ -3,8 +3,10 @@ package repro.exec
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.core._
 import repro.core.Analysis.Catalog
@@ -32,7 +34,8 @@ final case class ExecConfig(
     maxIters: Int = 100000,
     /** Largest base relation, in rows, that `P_plw` collects to the
       * driver and broadcasts; a fixpoint that reads a larger one runs
-      * `P_gld` instead (see [[Broadcasts]]).
+      * `P_gld` instead, and operators that read one above the fixpoints
+      * run on Catalyst (see [[Broadcasts]]).
       */
     broadcastThreshold: Long = 4000000L,
     /** Semi-naive (differential) iteration: φ applied to the new tuples
@@ -87,9 +90,13 @@ private[exec] object Bucket {
   }
 }
 
-/** Term → DataFrame evaluation. Non-recursive operators map directly to
-  * Dataset operations (optimized by Catalyst, as in Sec. IV); fixpoints
-  * dispatch to one of the physical plans below.
+/** Term → DataFrame evaluation. A closed term that holds a fixpoint
+  * runs as one region (see [[region]]) whenever its fixpoints are planned
+  * as `P_plw` and its base relations may be broadcast, so the operators
+  * above the fixpoints run in the region tasks too and the DataFrame is
+  * built once, from the region's rows. Otherwise non-recursive operators
+  * map to Dataset operations (optimized by Catalyst, as in Sec. IV) and
+  * fixpoints run `P_gld`.
   */
 final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig,
                      val broadcasts: Broadcasts) {
@@ -102,6 +109,9 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   def eval(t: Term): DataFrame = evalRec(t, Map.empty)
 
   private def evalRec(t: Term, rec: Map[String, DataFrame]): DataFrame = t match {
+    case _ if inRegion(t) =>
+      val (_, rows) = region(t)
+      spark.createDataFrame(rows, Executor.schemaOf(t, env))
     case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
     case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
     case Filter(EqConst(c, v), s) => evalRec(s, rec).filter(col(c) === lit(v))
@@ -123,38 +133,46 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   }
 
   // -------------------------------------------------------------------
-  // Fixpoint dispatch (the PhysicalPlanGenerator of Sec. IV-B)
+  // Plan selection (the PhysicalPlanGenerator of Sec. IV-B)
   // -------------------------------------------------------------------
 
-  private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame =
-    if (inRegion(fix)) {
-      val (_, rows) = region(fix)
-      spark.createDataFrame(rows.map(Row.fromSeq), Executor.schemaOf(fix, env))
-    } else {
-      val (constT, varB) = Analysis.decompose(fix)
-      val rDf = evalRec(constT, rec).distinct()
-      if (varB.isEmpty) rDf
-      else {
-        // Materialize constant subterms of φ that contain fixpoints so they
-        // are computed once, not per iteration.
-        val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
-        pGld(rDf, fix.x, Term.unionAll(phiBranches), hoisted)
-      }
-    }
-
-  /** Whether `fix` runs as a `P_plw` region: under `ForcePlwS` and
-    * `ForcePlwPg` always, under `Auto` when it has a stable column, and
-    * in each case only when every base relation it reads may be
-    * broadcast; otherwise it runs `P_gld`, and [[Broadcasts.refused]]
-    * holds the reason.
+  /** Whether `fix` is planned as `P_plw`: under `ForcePlwS` and
+    * `ForcePlwPg` always, under `Auto` when it has a stable column
+    * (Sec. IV-B-c), under `ForceGld` never.
     */
-  private def inRegion(fix: Fix): Boolean = {
-    val planned = cfg.plan match {
-      case PlanChoice.ForcePlwS | PlanChoice.ForcePlwPg => true
-      case PlanChoice.Auto                              => Stabilizer.stableCols(fix, cat).nonEmpty
-      case PlanChoice.ForceGld                          => false
+  private def planned(fix: Fix): Boolean = cfg.plan match {
+    case PlanChoice.ForcePlwS | PlanChoice.ForcePlwPg => true
+    case PlanChoice.Auto                              => Stabilizer.stableCols(fix, cat).nonEmpty
+    case PlanChoice.ForceGld                          => false
+  }
+
+  /** Whether the closed term `t` runs as a region: it holds a fixpoint,
+    * each of its outermost fixpoints is [[planned]] as `P_plw`, and every
+    * base relation it reads may be broadcast; otherwise
+    * [[Broadcasts.refused]] holds the reason. A fixpoint-free term never
+    * asks for a broadcast.
+    */
+  private def inRegion(t: Term): Boolean = {
+    def outerFixes(u: Term): List[Fix] = u match {
+      case f: Fix => List(f)
+      case _      => u.children.flatMap(outerFixes)
     }
-    planned && fix.freeRels.forall(n => broadcasts(n).isRight)
+    val fixes = outerFixes(t)
+    fixes.nonEmpty && t.freeRecVars.isEmpty && fixes.forall(planned) &&
+      t.freeRels.forall(n => broadcasts(n).isRight)
+  }
+
+  /** `P_gld` for a fixpoint that does not run as a region. */
+  private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame = {
+    val (constT, varB) = Analysis.decompose(fix)
+    val rDf = evalRec(constT, rec).distinct()
+    if (varB.isEmpty) rDf
+    else {
+      // Materialize constant subterms of φ that contain fixpoints so they
+      // are computed once, not per iteration.
+      val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
+      pGld(rDf, fix.x, Term.unionAll(phiBranches), hoisted)
+    }
   }
 
   /** Replace maximal constant subterms of φ that contain a fixpoint by
@@ -216,69 +234,80 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   // workers (Sec. IV-A2 / IV-B)
   // -------------------------------------------------------------------
 
-  /** Run `fix` as one region: a single task set whose task `k` evaluates
-    * `fix` restricted to the tuples whose partition column `c` falls in
-    * bucket `k`. The stable column `c` licenses pushing that selection
-    * into the constant part (Prop. 3) and, through
-    * [[Stabilizer.pushSelection]], on into every nested fixpoint on which
-    * `c` is stable too, so the whole chain runs in the same task and no
-    * data crosses the cluster during the recursion. The selection stops
+  /** Run the closed term `t` as one region: a single task set whose task
+    * `k` evaluates `t` restricted to the tuples whose partition key falls
+    * in bucket `k`. [[Stabilizer.pushSelection]] pushes that selection
+    * down `t` through renames, filters, anti-projections, unions, the
+    * left side of antijoins and the join sides that hold the key, and
+    * into the constant part of every fixpoint on which the key is stable
+    * (Prop. 3), so the operators above the fixpoints and the whole
+    * fixpoint chain run in the same task and no data crosses the cluster
+    * during the recursion. The selection stops
     *  - at a base relation (or a subterm it cannot enter): the task
     *    evaluates that subterm against the broadcast base relations and
     *    keeps its own bucket;
-    *  - at a nested fixpoint on which `c` is not stable: that fixpoint
-    *    runs as its own region and is exchanged into this one by the
-    *    bucket of `c`.
-    * A nested fixpoint the selection never reaches (in φ, on a join side
-    * without `c`) runs as its own region and is sent whole to every task.
-    * With a stable column the tasks' results are disjoint; without one
-    * (`ForcePlwS`, `ForcePlwPg`) the partition key is the whole row and a
-    * final distinct merges them.
+    *  - at a fixpoint on which the key is not stable: that fixpoint runs
+    *    as its own region and is exchanged into this one by the bucket of
+    *    the key.
+    * A side the selection never reaches (φ, a join side without the key,
+    * the right side of an antijoin) is evaluated whole in every task: its
+    * base relations from the broadcasts, and each of its fixpoints as its
+    * own region sent whole to every task.
     *
-    * The task runs its local loop with [[LocalEval]] (`P_plw^s`, the
+    * The key is the output column (for a fixpoint, the stable column)
+    * whose selection stops at the fewest fixpoints, each counted with the
+    * fixpoints exchanged into its own region, the first in sorted order on
+    * a tie; the tasks' results are then disjoint. A fixpoint with
+    * no stable column (`ForcePlwS`, `ForcePlwPg`) is split by the whole row
+    * of its constant part instead, and a final distinct merges the tasks.
+    *
+    * Each task runs its local term with [[LocalEval]] (`P_plw^s`, the
     * SetRDD-style engine) or, under `ForcePlwPg`, as one query on a
     * per-task DuckDB (`P_plw^pg`, DuckDB substituting PostgreSQL, see
     * DESIGN.md §2).
     *
     * @return the output columns (sorted) and the rows in that order
     */
-  private[exec] def region(fix: Fix): (Vector[String], RDD[Vector[Any]]) = {
+  private[exec] def region(t: Term): (Vector[String], RDD[Row]) = {
     val n = cfg.nPartitions
     val maxIters = cfg.maxIters
-    val cols = Analysis.fixSort(fix, cat).toVector.sorted
-    val stable = Stabilizer.stableCols(fix, cat).toVector.sorted
-    val key = if (stable.nonEmpty) stable.take(1) else cols
+    val cols = Analysis.sort(t, cat).toVector.sorted
+    val (key, _) = partitionKey(t)
 
     // Inputs, each bound to a fresh name in the task: (term, columns whose
     // bucket selects the task's rows; None = every row).
     val inputs = mutable.LinkedHashMap.empty[(Term, Option[Seq[String]]), String]
-    def input(t: Term, on: Option[Seq[String]]): Term =
-      Rel(inputs.getOrElseUpdate((t, on), s"__in_${inputs.size}"))
-    def reached(t: Term): Boolean = t.freeRels.exists(r => inputs.valuesIterator.contains(r))
-    def localize(t: Term): Term = t match {
+    def input(u: Term, on: Option[Seq[String]]): Term =
+      Rel(inputs.getOrElseUpdate((u, on), s"__in_${inputs.size}"))
+    def reached(u: Term): Boolean = u.freeRels.exists(r => inputs.valuesIterator.contains(r))
+    def localize(u: Term): Term = u match {
       case f: Fix if !reached(f) => input(f, None)
-      case _                     => t.mapChildren(localize)
+      case _                     => u.mapChildren(localize)
     }
-    val (constB, varB) = fix.branches
-    val pushed = constB.map { b =>
-      Stabilizer.pushSelection(b, key, cat) {
+    def push(u: Term, on: Seq[String]): Term =
+      Stabilizer.pushSelection(u, on, cat) {
         case (f: Fix, cs) => input(f, Some(cs))
-        case (u, cs)      => input(localize(u), Some(cs))
+        case (v, cs)      => input(localize(v), Some(cs))
       }
-    }
-    val local = localize(Fix(fix.x, Term.unionAll(pushed ++ varB)))
+    val local = localize((t, key) match {
+      case (_, Some(c)) => push(t, Seq(c))
+      case (fix: Fix, None) =>
+        val (constB, varB) = fix.branches
+        Fix(fix.x, Term.unionAll(constB.map(push(_, cols)) ++ varB))
+      case (_, None) => push(t, cols) // no column: one task holds every row
+    })
 
-    val entries = inputs.toVector.map { case ((t, on), name) => (t, on, name) }
-    val slices = entries.collect { case (t, Some(cs), name) if !t.isInstanceOf[Fix] => (name, t, cs) }
-    val fixes = entries.collect { case (f: Fix, on, name) => (name, on, fixRows(f)) }
+    val entries = inputs.toVector.map { case ((u, on), name) => (u, on, name) }
+    val slices = entries.collect { case (u, Some(cs), name) if !u.isInstanceOf[Fix] => (name, u, cs) }
+    val fixes = entries.collect { case (f: Fix, on, name) => (name, on, regionRows(f)) }
     val routed = fixes.zipWithIndex.map { case ((_, on, (fCols, rows)), i) =>
       on.map(_.map(fCols.indexOf)) match {
-        case Some(idx) => rows.map(r => (Bucket.of(idx.map(r), n), (i, r)))
+        case Some(idx) => rows.map(r => (Bucket.of(idx.map(r.get), n), (i, r)))
         case None      => rows.flatMap(r => (0 until n).map(k => (k, (i, r))))
       }
     }
     val feed =
-      if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Vector[Any]))], n)
+      if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Row))], n)
       else spark.sparkContext.union(routed).partitionBy(new Bucket.Partitioner(n))
     val fixCols = fixes.map { case (name, _, (fCols, _)) => (name, fCols) }
     val bases = (local.freeRels ++ slices.flatMap(_._2.freeRels)).filter(env.contains)
@@ -286,7 +315,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     // Made here, on the driver, so that an unsupported column type fails
     // as a MuRaError when the region is built, not inside a Spark job.
     val duck = Option.when(cfg.plan == PlanChoice.ForcePlwPg) {
-      DuckDb.compile(local, Executor.schemaOf(_, env, inputs.map { case ((t, _), name) => name -> t }.toMap))
+      DuckDb.compile(local, Executor.schemaOf(_, env, inputs.map { case ((u, _), name) => name -> u }.toMap))
     }
 
     // Each task evaluates on codes: the broadcast relations come encoded,
@@ -297,30 +326,49 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       val base = bases.map { case (b, bc) => b -> bc.value }
       val longest = base.valuesIterator.map(_._2).maxByOption(_.size).getOrElse(Dict.empty)
       val (exchanged, dict) = longest.encodeAll(fixCols.zipWithIndex.map { case ((name, fCols), i) =>
-        (name, fCols, got.getOrElse(i, Vector.empty))
+        (name, fCols, got.getOrElse(i, Vector.empty).map(_.toSeq))
       })
       var taskEnv = base.map { case (b, (r, _)) => b -> r } ++ exchanged
-      slices.foreach { case (name, t, cs) =>
-        val r = LocalEval.eval(t, taskEnv, dict, maxIters)
+      slices.foreach { case (name, u, cs) =>
+        val r = LocalEval.eval(u, taskEnv, dict, maxIters)
         val idx = cs.map(r.colIdx)
         taskEnv += name -> r.where(row => Bucket.of(idx.map(i => dict.value(r.code(row, i))), n) == k)
       }
       duck match {
-        case None    => LocalEval.eval(local, taskEnv, dict, maxIters).decode(dict, cols)
-        case Some(q) =>
-          q.run((name, cs) => taskEnv(name).decode(dict, cs).toVector).iterator.map(_.toSeq.toVector)
+        case None    => LocalEval.eval(local, taskEnv, dict, maxIters).decode(dict, cols).map(new GenericRow(_))
+        case Some(q) => q.run((name, cs) => taskEnv(name).decode(dict, cs).map(ArraySeq.unsafeWrapArray).toVector).iterator
       }
     }
-    (cols, if (stable.nonEmpty) rows else rows.distinct(n))
+    (cols, if (key.nonEmpty) rows else rows.distinct(n))
   }
 
-  /** The rows of a nested fixpoint that feeds a region, in sorted column order. */
-  private def fixRows(fix: Fix): (Vector[String], RDD[Vector[Any]]) =
+  /** The partition key of a region over `t` (see [[region]]), None when
+    * `t` is a fixpoint with no stable column or has no column, and the
+    * number of fixpoints exchanged into the region with that key, those
+    * exchanged into their own regions included.
+    */
+  private def partitionKey(t: Term): (Option[String], Int) = {
+    val candidates = t match {
+      case fix: Fix => Stabilizer.stableCols(fix, cat)
+      case _        => Analysis.sort(t, cat)
+    }
+    candidates.toVector.sorted.map { c =>
+      var exchanged = 0
+      Stabilizer.pushSelection(t, Seq(c), cat) {
+        case (f: Fix, _) => exchanged += 1 + partitionKey(f)._2; f
+        case (u, _)      => u
+      }
+      (Option(c), exchanged)
+    }.minByOption(_._2).getOrElse((None, 0))
+  }
+
+  /** The rows of a fixpoint that feeds a region, in sorted column order. */
+  private def regionRows(fix: Fix): (Vector[String], RDD[Row]) =
     if (inRegion(fix)) region(fix)
     else {
       val df = evalFix(fix, Map.empty)
       val cols = df.columns.toVector.sorted
-      (cols, df.select(cols.map(col): _*).rdd.map(_.toSeq.toVector))
+      (cols, df.select(cols.map(col): _*).rdd)
     }
 }
 

@@ -181,6 +181,12 @@ class LocalEvalSpec extends AnyFunSuite {
     assertThrows[MuRaError](LocalEval.eval(Rename("src", "trg", Rel("E")), env))
   }
 
+  test("a union of different columns is a MuRaError, in a term and in a fixpoint's step") {
+    assertThrows[MuRaError](LocalEval.eval(Union(AntiProj("trg", Rel("S")), Rel("E")), env))
+    val widening = Fix("X", Union(Rel("E"), Join(RecVar("X"), Rename("src", "a", Rename("trg", "b", Rel("S"))))))
+    assertThrows[MuRaError](LocalEval.eval(widening, env))
+  }
+
   test("an interrupted fixpoint throws InterruptedException") {
     Thread.currentThread().interrupt()
     try assertThrows[InterruptedException](LocalEval.eval(closureE, env))

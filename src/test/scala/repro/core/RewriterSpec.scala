@@ -43,7 +43,7 @@ class RewriterSpec extends AnyFunSuite {
   }
 
   test("normalize sinks filters through unions and antiprojections") {
-    val t = Filter(EqConst("src", 1L), Union(AntiProj("m", Rename("trg", "m", Rel("E"))), Rel("S")))
+    val t = Filter(EqConst("src", 1L), Union(AntiProj("m", Rename("trg", "m", Rel("E"))), AntiProj("trg", Rel("S"))))
     val n = Rewriter.normalize(t, cat)
     assert(resultSet(t) == resultSet(n))
     n match {

@@ -160,6 +160,21 @@ class ExecutorSpec extends SparkSpec {
     }
   }
 
+  test("a fixpoint with no stable column gives each row once on every plan") {
+    // Nodes reachable from the node of largest out-degree: its successors
+    // start tasks of their own under P_plw and reach common nodes.
+    val e = randEdges(15, 30, seed = 7)
+    val start = e.groupBy(_._1).toSeq.sortBy { case (n, out) => (-out.size, n) }.head._1
+    val step = AntiProj("m", Join(Rename("trg", "m", RecVar("X")), Rename("src", "m", Rel("E"))))
+    val fix = Fix("X", Union(AntiProj("src", Filter(EqConst("src", start), Rel("E"))), step))
+    val expected = bruteClosure(e).filter(_._1 == start).map(_._2)
+    for ((name, p) <- plans) {
+      val df = new Executor(spark, Map("E" -> edgeDf(spark, e)), ExecConfig(p, 4, 1000)).eval(fix)
+      assert(df.count() == expected.size, name)
+      assert(SparkTestData.toLongs(df) == expected, name)
+    }
+  }
+
   test("reach-style single-column fixpoint on all plans") {
     // reachable node set from node 1: μ(X = π̃_src σ_src=1(E) ∪ step)
     val base = AntiProj("src", Filter(EqConst("src", 1L), Rel("E")))

@@ -1,7 +1,8 @@
 package repro.exec
 
 import java.util.concurrent.Executors
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import scala.collection.mutable
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
@@ -12,12 +13,14 @@ import repro.queries.PaperQueries
 import repro.ucrpq.Query2Mu
 
 /** Region execution of `P_plw^s` and `P_plw^pg`: the partition
-  * selection pushed down a fixpoint chain gives disjoint per-task results
-  * whose union is the fixpoint, on every plan the rewriter finds, and the
-  * same per-task results whichever engine runs the tasks; nested
-  * fixpoints with another stable column are exchanged in; a base relation
-  * above `broadcastThreshold` falls back to `P_gld`; and a warm engine
-  * builds a plan without running a Spark job.
+  * selection pushed down a plan and its fixpoint chain gives disjoint
+  * per-task results whose union is the plan, on every plan the rewriter
+  * finds, and the same per-task results whichever engine runs the tasks;
+  * nested fixpoints with another stable column are exchanged in; a base
+  * relation above `broadcastThreshold` falls back to `P_gld`, or, read
+  * only above the fixpoints, to Catalyst there; a fixpoint-free query
+  * collects no base relation; and a warm engine builds a plan without
+  * running a Spark job and counts it with at most two.
   */
 class RegionSpec extends SparkSpec {
 
@@ -45,10 +48,10 @@ class RegionSpec extends SparkSpec {
   }
 
   /** Every plan of `query` on 1, 3 and 4 partitions: the result equals
-    * the unoptimised term on [[LocalEval]], and each outermost region's
-    * tasks return disjoint sets whose union is that fixpoint. At 3
-    * partitions `P_plw^pg` gives the same result, and the same set in
-    * each task.
+    * the unoptimised term on [[LocalEval]], and the tasks of the region
+    * over the whole plan and of each outermost fixpoint's region return
+    * disjoint sets whose union is that term. At 3 partitions `P_plw^pg`
+    * gives the same result, and the same set in each task.
     */
   private def checkPlans(g: DataFrame, constants: Map[String, Any], query: String): Unit = {
     val env = local(g)
@@ -67,22 +70,23 @@ class RegionSpec extends SparkSpec {
         ex.broadcasts(Query2Mu.GraphRel)
         ex
       }
-      def tasks(ex: Executor, f: Fix): Seq[Set[Vector[Any]]] =
-        ex.region(f)._2.glom().collect().toSeq.map(_.toSet)
+      def tasks(ex: Executor, t: Term): Seq[Set[Seq[Any]]] =
+        ex.region(t)._2.glom().collect().toSeq.map(_.map(_.toSeq).toSet)
       val checks = for (n <- Seq(1, 3, 4)) yield {
         val ex = executor(PlanChoice.Auto, n)
         val pg = Option.when(n == 3)(executor(PlanChoice.ForcePlwPg, n))
         plans.map(p => Future {
           assert(rowsOf(ex.eval(p)) == expected, s"n=$n: ${p.pretty}")
           pg.foreach(pg => assert(rowsOf(pg.eval(p)) == expected, s"P_plw^pg n=$n: ${p.pretty}"))
-          outerFixes(p).filter(Stabilizer.stableCols(_, cat).nonEmpty).foreach { f =>
-            val parts = tasks(ex, f)
-            assert(parts.length == n)
-            val union = parts.foldLeft(Set.empty[Vector[Any]])(_ ++ _)
-            assert(parts.map(_.size).sum == union.size, s"n=$n: tasks overlap on ${f.pretty}")
-            assert(union.map(_.toSeq) == rowsOf(LocalEval.eval(f, env)), s"n=$n: ${f.pretty}")
-            pg.foreach(pg => assert(tasks(pg, f) == parts, s"P_plw^pg n=$n: tasks differ on ${f.pretty}"))
-          }
+          (p :: outerFixes(p)).distinct.filter(u => outerFixes(u).forall(Stabilizer.stableCols(_, cat).nonEmpty))
+            .foreach { u =>
+              val parts = tasks(ex, u)
+              assert(parts.length == n)
+              val union = parts.foldLeft(Set.empty[Seq[Any]])(_ ++ _)
+              assert(parts.map(_.size).sum == union.size, s"n=$n: tasks overlap on ${u.pretty}")
+              assert(union == rowsOf(LocalEval.eval(u, env)), s"n=$n: ${u.pretty}")
+              pg.foreach(pg => assert(tasks(pg, u) == parts, s"P_plw^pg n=$n: tasks differ on ${u.pretty}"))
+            }
         })
       }
       Await.result(Future.sequence(checks.flatten), 10.minutes)
@@ -97,7 +101,7 @@ class RegionSpec extends SparkSpec {
     checkPlans(concatG, Map.empty, PaperQueries.concatClosure(labels))
   }
 
-  for (q <- Seq("Q13", "Q21", "Q25")) {
+  for (q <- Seq("Q4", "Q13", "Q16", "Q20", "Q21", "Q25")) {
     test(s"Yago-lite $q: every plan, disjoint regions") {
       checkPlans(yago.edges, yago.constants, yagoQuery(q))
     }
@@ -126,6 +130,46 @@ class RegionSpec extends SparkSpec {
       assert(!Stabilizer.stableCols(fixStops.head, eng.cat).isEmpty)
       assert(rowsOf(eng.execute(plan)) == rowsOf(LocalEval.eval(Query2Mu.translate(q, eng.constants),
         local(eng.catalog(Query2Mu.GraphRel)))))
+    }
+  }
+
+  test("Yago-lite Q4, Q16, Q20: on a warm engine the chosen plan builds with no Spark job, counts with two") {
+    val eng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> yago.edges), yago.constants, 4)
+    eng.warmup()
+    for (q <- Seq("Q4", "Q16", "Q20")) {
+      val plan = eng.plan(yagoQuery(q))
+      eng.execute(plan).count()
+      val (df, build) = SparkJobs.during(spark)(eng.execute(plan))
+      val (_, count) = SparkJobs.during(spark)(df.count())
+      assert(build == 0, q)
+      assert(count <= 2, s"$q: $count jobs")
+    }
+  }
+
+  test("a fixpoint-free query runs no broadcast collect; the first fixpoint query does") {
+    val eng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+    eng.warmup()
+    val (df, build) = SparkJobs.during(spark)(eng.execute(eng.plan("?x,?y <- ?x a0 ?y")))
+    assert(build == 0)
+    assert(df.count() > 0)
+    val (_, fixBuild) = SparkJobs.during(spark)(eng.execute(eng.plan(PaperQueries.concatClosure(labels))))
+    assert(fixBuild > 0, "the base relation is collected for the first region")
+  }
+
+  test("a base relation above broadcastThreshold read above the fixpoints: Catalyst top over the region") {
+    val big = spark.createDataFrame(
+      spark.sparkContext.parallelize((0L until 400L).map(i => Row(i % 40, i)), 2),
+      StructType(Seq(StructField("trg", LongType), StructField("z", LongType))))
+    val closure = Term.closure(AntiProj("pred", Filter(EqConst("pred", "a0"), Rel(Query2Mu.GraphRel))))
+    val t = Join(closure, Rel("B"))
+    val graph = local(concatG)
+    val env = graph + ("B" -> LocalRel(Vector("trg", "z"), big.collect().toVector.map(_.toSeq.toVector)))
+    assert(concatG.count() < 300)
+    for (choice <- Seq(PlanChoice.Auto, PlanChoice.ForcePlwPg)) {
+      val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG, "B" -> big),
+        ExecConfig(choice, 4, 1000, broadcastThreshold = 300))
+      assert(rowsOf(ex.eval(t)) == rowsOf(LocalEval.eval(t, env)), choice)
+      assert(ex.broadcasts.refused.keySet == Set("B"), choice)
     }
   }
 
