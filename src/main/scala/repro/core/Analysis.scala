@@ -12,57 +12,66 @@ object Analysis {
   /** Maps a base relation name to its set of columns. */
   type Catalog = Map[String, Set[String]]
 
+  /** Sorts of the free recursive variables of a term. */
+  type RecEnv = Map[String, Set[String]]
+
   /** Column set of a term. `rec` gives the sorts of free recursive
     * variables. Throws [[MuRaError]] on ill-sorted terms.
     */
-  def sort(t: Term, cat: Catalog, rec: Map[String, Set[String]] = Map.empty): Set[String] = t match {
+  def sort(t: Term, cat: Catalog, rec: RecEnv = Map.empty): Set[String] = sort(t, new Memo(cat), rec)
+
+  /** [[sort]] under `m.cat`, with the sorts of closed subterms kept in `m`. */
+  def sort(t: Term, m: Memo, rec: RecEnv): Set[String] = {
+    val kept = m.sorts.get(t)
+    if (kept != null) kept else m.keep(m.sorts, t, sortOf(t, m, rec))
+  }
+
+  private def sortOf(t: Term, m: Memo, rec: RecEnv): Set[String] = t match {
     case Rel(n) =>
-      cat.getOrElse(n, throw MuRaError(s"unknown relation $n"))
+      m.cat.getOrElse(n, throw MuRaError(s"unknown relation $n"))
     case RecVar(x) =>
       rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
     case Filter(c, s) =>
-      val ss = sort(s, cat, rec)
+      val ss = sort(s, m, rec)
       val missing = c.cols -- ss
       if (missing.nonEmpty) throw MuRaError(s"filter on missing column(s) $missing in ${s.pretty}")
       ss
     case Join(l, r) =>
-      sort(l, cat, rec) ++ sort(r, cat, rec)
+      sort(l, m, rec) ++ sort(r, m, rec)
     case Antijoin(l, r) =>
-      sort(r, cat, rec) // type-check the right side too
-      sort(l, cat, rec)
+      sort(r, m, rec) // type-check the right side too
+      sort(l, m, rec)
     case Union(l, r) =>
-      val sl = sort(l, cat, rec); val sr = sort(r, cat, rec)
+      val sl = sort(l, m, rec); val sr = sort(r, m, rec)
       if (sl != sr) throw MuRaError(s"union of different sorts: $sl vs $sr")
       sl
     case AntiProj(c, s) =>
-      val ss = sort(s, cat, rec)
+      val ss = sort(s, m, rec)
       if (!ss.contains(c)) throw MuRaError(s"anti-projection of missing column $c from $ss")
       ss - c
     case Rename(f, to, s) =>
-      val ss = sort(s, cat, rec)
+      val ss = sort(s, m, rec)
       if (!ss.contains(f)) throw MuRaError(s"rename of missing column $f from $ss")
       if (ss.contains(to)) throw MuRaError(s"rename target $to already in sort $ss")
       ss - f + to
     case fix @ Fix(_, _) =>
-      fixSort(fix, cat, rec)
+      // Determined by the constant part, then checked against every
+      // variable-part branch (union compatibility).
+      val (constB, varB) = fix.branches
+      val s0 = sort(constB.head, m, rec)
+      constB.tail.foreach { b =>
+        val sb = sort(b, m, rec)
+        if (sb != s0) throw MuRaError(s"constant parts of fixpoint disagree: $s0 vs $sb")
+      }
+      varB.foreach { b =>
+        val sb = sort(b, m, rec + (fix.x -> s0))
+        if (sb != s0) throw MuRaError(s"variable part sort $sb differs from constant part $s0 in ${b.pretty}")
+      }
+      s0
   }
 
-  /** Sort of a fixpoint: determined by its constant part, then checked
-    * against every variable-part branch (union compatibility).
-    */
-  def fixSort(fix: Fix, cat: Catalog, rec: Map[String, Set[String]] = Map.empty): Set[String] = {
-    val (constB, varB) = fix.branches
-    val s0 = sort(constB.head, cat, rec)
-    constB.tail.foreach { b =>
-      val sb = sort(b, cat, rec)
-      if (sb != s0) throw MuRaError(s"constant parts of fixpoint disagree: $s0 vs $sb")
-    }
-    varB.foreach { b =>
-      val sb = sort(b, cat, rec + (fix.x -> s0))
-      if (sb != s0) throw MuRaError(s"variable part sort $sb differs from constant part $s0 in ${b.pretty}")
-    }
-    s0
-  }
+  /** Sort of a fixpoint (the `Fix` case of [[sort]]). */
+  def fixSort(fix: Fix, cat: Catalog, rec: RecEnv = Map.empty): Set[String] = sort(fix, cat, rec)
 
   /** Decompose a fixpoint into its constant part R and the list of
     * variable-part branches (Prop. 2, see [[Fix.branches]]). Also
@@ -76,6 +85,12 @@ object Analysis {
         throw MuRaError(s"variable part does not satisfy φ(∅)=∅: ${b.pretty}")
     }
     (Term.unionAll(constB), varB)
+  }
+
+  /** [[decompose]], done once per closed fixpoint of `m`. */
+  private[core] def decompose(fix: Fix, m: Memo): (Term, List[Term]) = {
+    val kept = m.parts.get(fix)
+    if (kept != null) kept else m.keep(m.parts, fix, decompose(fix))
   }
 
   /** True iff the term evaluates to ∅ whenever `x` is bound to ∅.
@@ -134,9 +149,12 @@ object Analysis {
     * Binders are numbered per occurrence, so sibling fixpoints that reuse
     * a name get distinct numbers.
     */
-  def canonical(t: Term, cat: Catalog): Term = {
+  def canonical(t: Term, cat: Catalog): Term = canonical(t, new Memo(cat))
+
+  /** [[canonical]] with the interface sort taken from `m`. */
+  private[core] def canonical(t: Term, m: Memo): Term = {
     val interface: Set[String] =
-      t.freeRels.flatMap(cat.getOrElse(_, Set.empty[String])) ++ sort(t, cat)
+      t.freeRels.flatMap(m.cat.getOrElse(_, Set.empty[String])) ++ sort(t, m, Map.empty)
     var colMap = Map.empty[String, String]
     var freeRec = Map.empty[String, String]
     var nRec = 0

@@ -36,29 +36,39 @@ object Cost {
     * recursive variable or a fixpoint that violates φ(∅)=∅.
     */
   def estimate(t: Term, stats: Map[String, RelStats], cat: Catalog): Est =
-    est(t, stats, cat, Map.empty)
+    estimate(t, new Memo(cat, stats))
 
-  private def est(t: Term, stats: Map[String, RelStats], cat: Catalog, env: Map[String, Est]): Est = t match {
+  /** [[estimate]] under `m.stats` and `m.cat`, with the estimates of
+    * closed subterms kept in `m`.
+    */
+  def estimate(t: Term, m: Memo): Est = est(t, m, Map.empty)
+
+  private def est(t: Term, m: Memo, env: Map[String, Est]): Est = {
+    val kept = m.ests.get(t)
+    if (kept != null) kept else m.keep(m.ests, t, estOf(t, m, env))
+  }
+
+  private def estOf(t: Term, m: Memo, env: Map[String, Est]): Est = t match {
     case Rel(n) =>
-      val s = stats.getOrElse(n, RelStats(1000.0, Map.empty))
-      Est(s.rows, cat(n).map(c => c -> s.d(c)).toMap, 0.0)
+      val s = m.stats.getOrElse(n, RelStats(1000.0, Map.empty))
+      Est(s.rows, m.cat(n).map(c => c -> s.d(c)).toMap, 0.0)
 
     case RecVar(x) => env.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
 
     case Filter(EqConst(c, _), s) =>
-      val e = est(s, stats, cat, env)
+      val e = est(s, m, env)
       val out = e.rows / math.max(1.0, e.d(c))
       Est(out, e.distinct.map { case (k, v) => k -> math.min(v, out) } + (c -> 1.0),
           e.cost + e.rows)
 
     case Filter(EqCols(a, b), s) =>
-      val e = est(s, stats, cat, env)
+      val e = est(s, m, env)
       val out = e.rows / math.max(1.0, math.max(e.d(a), e.d(b)))
       Est(out, e.distinct.map { case (k, v) => k -> math.min(v, out) }, e.cost + e.rows)
 
     case Join(l, r) =>
-      val el = est(l, stats, cat, env)
-      val er = est(r, stats, cat, env)
+      val el = est(l, m, env)
+      val er = est(r, m, env)
       val common = el.distinct.keySet intersect er.distinct.keySet
       val denom = common.foldLeft(1.0)((acc, c) => acc * math.max(1.0, math.max(el.d(c), er.d(c))))
       val out = el.rows * er.rows / denom
@@ -66,34 +76,34 @@ object Cost {
       Est(out, dist, el.cost + er.cost + out)
 
     case Antijoin(l, r) =>
-      val el = est(l, stats, cat, env)
-      val er = est(r, stats, cat, env)
+      val el = est(l, m, env)
+      val er = est(r, m, env)
       Est(el.rows * 0.5, el.distinct, el.cost + er.cost + el.rows)
 
     case Union(l, r) =>
-      val el = est(l, stats, cat, env)
-      val er = est(r, stats, cat, env)
+      val el = est(l, m, env)
+      val er = est(r, m, env)
       val out = el.rows + er.rows
       Est(out, (el.distinct ++ er.distinct).map { case (k, v) => k -> math.min(v, out) },
           el.cost + er.cost + out)
 
     case AntiProj(c, s) =>
-      val e = est(s, stats, cat, env)
+      val e = est(s, m, env)
       // Dedup after dropping a column: mild reduction.
       val out = math.max(1.0, e.rows * 0.9)
       Est(out, e.distinct - c, e.cost + e.rows)
 
     case Rename(f, to, s) =>
-      val e = est(s, stats, cat, env)
+      val e = est(s, m, env)
       Est(e.rows, (e.distinct - f) + (to -> e.d(f)), e.cost)
 
     case fix @ Fix(x, _) =>
-      val (constT, varB) = Analysis.decompose(fix)
-      val e0 = est(constT, stats, cat, env)
+      val (constT, varB) = Analysis.decompose(fix, m)
+      val e0 = est(constT, m, env)
       // One φ application on the initial delta, to measure the expansion
       // ratio of a single step.
       val stepEnv = env + (x -> Est(e0.rows, e0.distinct, 0.0))
-      val stepEsts = varB.map(b => est(b, stats, cat, stepEnv))
+      val stepEsts = varB.map(b => est(b, m, stepEnv))
       val stepRows = stepEsts.map(_.rows).sum
       val stepCost = stepEsts.map(_.cost).sum
       val ratio = math.max(0.1, stepRows / math.max(1.0, e0.rows))
@@ -101,8 +111,8 @@ object Cost {
       // per-column value universes. A *stable* column only ever holds
       // values of the constant part; a non-stable column keeps receiving
       // fresh values from φ's joins, so its universe is the global one.
-      val stable = Stabilizer.stableCols(fix, cat)
-      val globalUniverse = stats.values.foldLeft(64.0) { (a, s) =>
+      val stable = Stabilizer.stableCols(fix, m)
+      val globalUniverse = m.stats.values.foldLeft(64.0) { (a, s) =>
         math.max(a, s.distinct.values.foldLeft(1.0)(math.max))
       }
       val cap = e0.distinct.keySet.foldLeft(1.0) { (acc, c) =>
@@ -144,5 +154,10 @@ object Cost {
 
   /** Pick the cheapest plan among candidates (first wins ties). */
   def best(candidates: Seq[Term], stats: Map[String, RelStats], cat: Catalog): Term =
-    candidates.minBy(estimate(_, stats, cat).cost)
+    best(candidates, new Memo(cat, stats))
+
+  /** [[best]] by the estimates in `m`: a lookup for each candidate that
+    * was estimated under `m` before.
+    */
+  def best(candidates: Seq[Term], m: Memo): Term = candidates.minBy(estimate(_, m).cost)
 }

@@ -1,7 +1,8 @@
 package repro.core
 
+import java.util.IdentityHashMap
 import scala.collection.mutable
-import Analysis.Catalog
+import Analysis.{Catalog, RecEnv}
 
 /** Which rewrite rules a system is allowed to use. Dist-μ-RA enables all
   * of them; the baseline configurations disable the rules the paper says
@@ -44,8 +45,6 @@ object RewriteConfig {
   */
 object Rewriter {
 
-  private type RecEnv = Map[String, Set[String]]
-
   // ---------------------------------------------------------------------
   // Normalization
   // ---------------------------------------------------------------------
@@ -56,26 +55,32 @@ object Rewriter {
     * π̃ strictly down or sinks a ρ into a fixpoint, so the walk ends.
     * Returns `t` itself when nothing changes.
     */
-  def normalize(t: Term, cat: Catalog): Term = norm(t, cat, Map.empty)
+  def normalize(t: Term, cat: Catalog): Term = norm(t, new Memo(cat), Map.empty)
 
-  private def norm(t: Term, cat: Catalog, rec: RecEnv): Term = {
+  private def norm(t: Term, m: Memo, rec: RecEnv): Term = {
+    val kept = m.normal.get(t)
+    if (kept != null) return kept
     val inner = t match {
-      case fix @ Fix(x, _) => rec + (x -> Analysis.fixSort(fix, cat, rec))
+      case fix @ Fix(x, _) => rec + (x -> Analysis.sort(fix, m, rec))
       case _               => rec
     }
-    val u = t.mapChildren(norm(_, cat, inner))
-    localNorm(u, cat, rec).fold(u)(norm(_, cat, rec))
+    val u = t.mapChildren(norm(_, m, inner))
+    val n = localNorm(u, m, rec).fold(u)(norm(_, m, rec))
+    // A normal form is its own normal form: a plan built on it re-walks
+    // only the path that was rebuilt.
+    m.keep(m.normal, n, n)
+    m.keep(m.normal, t, n)
   }
 
   /** One local normalization step at the root of `u`, if any applies. */
-  private def localNorm(u: Term, cat: Catalog, rec: RecEnv): Option[Term] = u match {
+  private def localNorm(u: Term, m: Memo, rec: RecEnv): Option[Term] = u match {
     // --- filter sinking -------------------------------------------------
     case Filter(c, Union(l, r)) => Some(Union(Filter(c, l), Filter(c, r)))
     case Filter(c, AntiProj(d, s)) => Some(AntiProj(d, Filter(c, s)))
     case Filter(c, Rename(f, o, s)) => Some(Rename(f, o, Filter(c.rename(o, f), s)))
     case Filter(c, Antijoin(l, r)) => Some(Antijoin(Filter(c, l), r))
     case Filter(c, Join(l, r)) =>
-      val sl = Analysis.sort(l, cat, rec); val sr = Analysis.sort(r, cat, rec)
+      val sl = Analysis.sort(l, m, rec); val sr = Analysis.sort(r, m, rec)
       if (c.cols.subsetOf(sl) && !c.cols.subsetOf(sr)) Some(Join(Filter(c, l), r))
       else if (c.cols.subsetOf(sr) && !c.cols.subsetOf(sl)) Some(Join(l, Filter(c, r)))
       else if (c.cols.subsetOf(sl) && c.cols.subsetOf(sr)) Some(Join(Filter(c, l), Filter(c, r)))
@@ -86,18 +91,18 @@ object Rewriter {
     case AntiProj(c, Rename(f, o, s)) =>
       if (c == o) Some(AntiProj(f, s)) else Some(Rename(f, o, AntiProj(c, s)))
     case AntiProj(c, Join(l, r)) =>
-      val sl = Analysis.sort(l, cat, rec); val sr = Analysis.sort(r, cat, rec)
+      val sl = Analysis.sort(l, m, rec); val sr = Analysis.sort(r, m, rec)
       val common = sl intersect sr
       if (common.contains(c)) None
       else if (sl.contains(c)) Some(Join(AntiProj(c, l), r))
       else Some(Join(l, AntiProj(c, r)))
     case AntiProj(c, Antijoin(l, r)) =>
-      val common = Analysis.sort(l, cat, rec) intersect Analysis.sort(r, cat, rec)
+      val common = Analysis.sort(l, m, rec) intersect Analysis.sort(r, m, rec)
       if (common.contains(c)) None else Some(Antijoin(AntiProj(c, l), r))
 
     // --- rename sinking into fixpoints (pure relabeling) ----------------
-    case Rename(f, to, Fix(x, body)) if relabelSafe(body, to, cat) =>
-      Some(Fix(x, Term.renameEverywhere(body, f, to, cat(_))))
+    case Rename(f, to, Fix(x, body)) if relabelSafe(body, to, m.cat) =>
+      Some(Fix(x, Term.renameEverywhere(body, f, to, m.cat(_))))
     case _ => None
   }
 
@@ -115,17 +120,17 @@ object Rewriter {
   /** The columns the spine of `t` filters, drops, renames or joins on
     * (for a join or antijoin: the partner's whole sort).
     */
-  private def spineCols(t: Term, x: String, cat: Catalog, rec: RecEnv): Set[String] =
+  private def spineCols(t: Term, x: String, m: Memo, rec: RecEnv): Set[String] =
     if (!t.usesRec(x)) Set.empty
     else t match {
-      case Filter(c, s)    => spineCols(s, x, cat, rec) ++ c.cols
-      case AntiProj(c, s)  => spineCols(s, x, cat, rec) + c
-      case Rename(f, o, s) => spineCols(s, x, cat, rec) + f + o
+      case Filter(c, s)    => spineCols(s, x, m, rec) ++ c.cols
+      case AntiProj(c, s)  => spineCols(s, x, m, rec) + c
+      case Rename(f, o, s) => spineCols(s, x, m, rec) + f + o
       case Join(l, r) =>
-        if (l.usesRec(x)) spineCols(l, x, cat, rec) ++ Analysis.sort(r, cat, rec)
-        else spineCols(r, x, cat, rec) ++ Analysis.sort(l, cat, rec)
-      case Antijoin(l, r) => spineCols(l, x, cat, rec) ++ Analysis.sort(r, cat, rec)
-      case Union(l, r)    => spineCols(l, x, cat, rec) ++ spineCols(r, x, cat, rec)
+        if (l.usesRec(x)) spineCols(l, x, m, rec) ++ Analysis.sort(r, m, rec)
+        else spineCols(r, x, m, rec) ++ Analysis.sort(l, m, rec)
+      case Antijoin(l, r) => spineCols(l, x, m, rec) ++ Analysis.sort(r, m, rec)
+      case Union(l, r)    => spineCols(l, x, m, rec) ++ spineCols(r, x, m, rec)
       case RecVar(_) | Rel(_) | Fix(_, _) => Set.empty // x cannot occur in Rel/Fix under F_cond
     }
 
@@ -142,10 +147,12 @@ object Rewriter {
   final case class LinearFix(x: String, constBranches: List[Term], e: Term,
                              xCol: String, eCol: String, k: String, sort: Set[String])
 
-  def recognizeLinear(fix: Fix, cat: Catalog): Option[LinearFix] = {
-    val xSort = Analysis.fixSort(fix, cat)
+  def recognizeLinear(fix: Fix, cat: Catalog): Option[LinearFix] = recognizeLinear(fix, new Memo(cat))
+
+  private def recognizeLinear(fix: Fix, m: Memo): Option[LinearFix] = {
+    val xSort = Analysis.sort(fix, m, Map.empty)
     if (xSort.size != 2) return None
-    val varB = Analysis.decompose(fix)._2
+    val varB = Analysis.decompose(fix, m)._2
     if (varB.size != 1) return None
     varB.head match {
       case AntiProj(k, Join(a, b)) =>
@@ -154,7 +161,7 @@ object Rewriter {
             q match {
               case Rename(ec, `k`, e) if e.freeRecVars.isEmpty
                   && xSort.contains(xc) && xSort.contains(ec)
-                  && Analysis.sort(e, cat) == xSort =>
+                  && Analysis.sort(e, m, Map.empty) == xSort =>
                 Some(LinearFix(fix.x, fix.branches._1, e, xc, ec, k, xSort))
               case _ => None
             }
@@ -170,9 +177,11 @@ object Rewriter {
     * reversed (`E+` computed left-to-right equals `E+` computed
     * right-to-left); base-extended closures `R∘E*` cannot.
     */
-  def isPureClosure(lf: LinearFix, cat: Catalog): Boolean =
+  def isPureClosure(lf: LinearFix, cat: Catalog): Boolean = isPureClosure(lf, new Memo(cat))
+
+  private def isPureClosure(lf: LinearFix, m: Memo): Boolean =
     lf.constBranches match {
-      case List(r) => Analysis.alphaEq(r, lf.e, cat)
+      case List(r) => Analysis.canonical(r, m) == Analysis.canonical(lf.e, m)
       case _       => false
     }
 
@@ -186,9 +195,9 @@ object Rewriter {
   /** σ_cond(μ(X = R ∪ φ)) → μ(X = σ_cond(R) ∪ φ) when every column the
     * condition reads is stable (Sec. III "pushing filters into fixpoints").
     */
-  private def pushFilterRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
+  private def pushFilterRule(u: Term, m: Memo): Vector[Term] = u match {
     case Filter(cond, fix @ Fix(x, _)) if fix.freeRecVars.isEmpty =>
-      if (!cond.cols.subsetOf(Stabilizer.stableCols(fix, cat))) Vector.empty
+      if (!cond.cols.subsetOf(Stabilizer.stableCols(fix, m))) Vector.empty
       else {
         val (constB, varB) = fix.branches
         Vector(rebuildFix(x, constB.map(Filter(cond, _)), varB))
@@ -200,19 +209,19 @@ object Rewriter {
     * stable and T's extra columns cannot be captured inside φ (clashing
     * extras are relabeled to fresh names and renamed back outside).
     */
-  private def pushJoinRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
+  private def pushJoinRule(u: Term, m: Memo): Vector[Term] = u match {
     case Join(a, b) =>
       def attempt(tConst: Term, fix: Fix): Option[Term] = {
         if (tConst.freeRecVars.nonEmpty || fix.freeRecVars.nonEmpty) return None
-        val stable = Stabilizer.stableCols(fix, cat)
-        val fixSort = Analysis.fixSort(fix, cat)
-        val tSort = Analysis.sort(tConst, cat, rec)
+        val stable = Stabilizer.stableCols(fix, m)
+        val fixSort = Analysis.sort(fix, m, Map.empty)
+        val tSort = Analysis.sort(tConst, m, Map.empty)
         val j = tSort intersect fixSort
         if (j.isEmpty || !j.subsetOf(stable)) return None
         val extras = tSort -- j
         val (constB, varB) = fix.branches
         val hazards: Set[String] =
-          varB.flatMap(spineCols(_, fix.x, cat, rec + (fix.x -> fixSort))).toSet ++ fix.body.allColNames
+          varB.flatMap(spineCols(_, fix.x, m, Map(fix.x -> fixSort))).toSet ++ fix.body.allColNames
         // Relabel clashing extra columns of T to fresh names; rename back
         // outside the new fixpoint.
         var t2 = tConst
@@ -243,13 +252,13 @@ object Rewriter {
     * reads X's column c (it is a pure passthrough): c is then dead inside
     * the fixpoint and dropping it early shrinks every iteration.
     */
-  private def pushAntiProjRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
+  private def pushAntiProjRule(u: Term, m: Memo): Vector[Term] = u match {
     case AntiProj(c, fix @ Fix(x, _)) if fix.freeRecVars.isEmpty =>
-      if (!Stabilizer.stableCols(fix, cat).contains(c)) Vector.empty
+      if (!Stabilizer.stableCols(fix, m).contains(c)) Vector.empty
       else {
         val (constB, varB) = fix.branches
-        val xs = Analysis.fixSort(fix, cat)
-        if (varB.exists(spineCols(_, x, cat, rec + (x -> xs)).contains(c))) Vector.empty
+        val xs = Analysis.sort(fix, m, Map.empty)
+        if (varB.exists(spineCols(_, x, m, Map(x -> xs)).contains(c))) Vector.empty
         else Vector(rebuildFix(x, constB.map(AntiProj(c, _)), varB))
       }
     case _ => Vector.empty
@@ -259,10 +268,10 @@ object Rewriter {
     * denote E+; reversing changes which column is stable, enabling pushes
     * on the other side (Sec. III "reversing a fixpoint").
     */
-  private def reverseRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
+  private def reverseRule(u: Term, m: Memo): Vector[Term] = u match {
     case fix: Fix if fix.freeRecVars.isEmpty =>
-      recognizeLinear(fix, cat) match {
-        case Some(lf) if isPureClosure(lf, cat) =>
+      recognizeLinear(fix, m) match {
+        case Some(lf) if isPureClosure(lf, m) =>
           // swap roles: X now renamed on the column E was renamed on, etc.
           val step = AntiProj(lf.k, Join(
             Rename(lf.eCol, lf.k, RecVar(lf.x)),
@@ -284,10 +293,10 @@ object Rewriter {
     * non-shared side "to the left" and F2 "to the right"; the reverse rule
     * supplies those orientations for pure closures.
     */
-  private def mergeRule(u: Term, cat: Catalog, rec: RecEnv): Vector[Term] = u match {
+  private def mergeRule(u: Term, memo: Memo): Vector[Term] = u match {
     case AntiProj(m, Join(a: Fix, b: Fix))
         if a.freeRecVars.isEmpty && b.freeRecVars.isEmpty =>
-      (recognizeLinear(a, cat), recognizeLinear(b, cat)) match {
+      (recognizeLinear(a, memo), recognizeLinear(b, memo)) match {
         case (Some(l1), Some(l2)) =>
           val s1 = l1.sort; val s2 = l2.sort
           if ((s1 intersect s2) != Set(m)) return Vector.empty
@@ -315,8 +324,8 @@ object Rewriter {
   // Bounded plan-space exploration
   // ---------------------------------------------------------------------
 
-  private def enabledRules(cfg: RewriteConfig): Vector[(Term, Catalog, RecEnv) => Vector[Term]] = {
-    val b = Vector.newBuilder[(Term, Catalog, RecEnv) => Vector[Term]]
+  private def enabledRules(cfg: RewriteConfig): Vector[(Term, Memo) => Vector[Term]] = {
+    val b = Vector.newBuilder[(Term, Memo) => Vector[Term]]
     if (cfg.pushFilter) b += pushFilterRule
     if (cfg.pushJoin) b += pushJoinRule
     if (cfg.pushAntiProj) b += pushAntiProjRule
@@ -328,17 +337,14 @@ object Rewriter {
   /** Apply `rule` at every position of `t`, returning each whole term
     * with exactly one redex rewritten.
     */
-  private def applyEverywhere(t: Term, cat: Catalog, rec: RecEnv,
-                              rule: (Term, Catalog, RecEnv) => Vector[Term]): Vector[Term] = {
-    val here = rule(t, cat, rec)
-    val inner = t match {
-      case fix @ Fix(x, _) => rec + (x -> Analysis.fixSort(fix, cat, rec))
-      case _               => rec
-    }
+  private def applyEverywhere(t: Term, m: Memo, rule: (Term, Memo) => Vector[Term],
+                              kept: IdentityHashMap[Term, Vector[Term]]): Vector[Term] = {
+    val k = kept.get(t)
+    if (k != null) return k
     val cs = t.children
-    cs.indices.foldLeft(here) { (acc, i) =>
-      acc ++ applyEverywhere(cs(i), cat, inner, rule).map(t.withChild(i, _))
-    }
+    m.keep(kept, t, cs.indices.foldLeft(rule(t, m)) { (acc, i) =>
+      acc ++ applyEverywhere(cs(i), m, rule, kept).map(t.withChild(i, _))
+    })
   }
 
   /** Cost-guided best-first exploration of the plan space: start from
@@ -353,10 +359,17 @@ object Rewriter {
     * semantically equivalent to the input.
     */
   def explore(t0: Term, cat: Catalog, cfg: RewriteConfig,
-              rank: Term => Double = _ => 0.0): Vector[Term] = {
-    val start = normalize(t0, cat)
+              rank: Term => Double = _ => 0.0): Vector[Term] = explore(t0, new Memo(cat), cfg, rank)
+
+  /** [[explore]] with every analysis and normal form kept in `m`, which
+    * `rank` may share.
+    */
+  def explore(t0: Term, m: Memo, cfg: RewriteConfig, rank: Term => Double): Vector[Term] = {
+    val start = norm(t0, m, Map.empty)
     if (!cfg.anyEnabled) return Vector(start)
-    val rules = enabledRules(cfg)
+    // Each rule fires only at closed nodes, so the rewrites of a closed
+    // subterm are the same in every plan that shares it: kept per rule.
+    val rules = enabledRules(cfg).map(_ -> new IdentityHashMap[Term, Vector[Term]])
     val seen = mutable.LinkedHashMap.empty[Term, Term] // canonical -> representative
     // min-heap on rank; insertion index breaks ties FIFO
     implicit val ord: Ordering[(Double, Long, Term)] =
@@ -365,7 +378,7 @@ object Rewriter {
     var counter = 0L
     def add(t: Term): Unit = {
       if (seen.size >= cfg.maxPlans * 8) return // frontier memory bound
-      val key = Analysis.canonical(t, cat)
+      val key = Analysis.canonical(t, m)
       if (!seen.contains(key)) {
         seen(key) = t
         counter += 1
@@ -378,9 +391,9 @@ object Rewriter {
       if (Thread.interrupted()) throw new InterruptedException("plan exploration cancelled")
       val (_, _, t) = frontier.dequeue()
       expansions += 1
-      rules.foreach { rule =>
-        applyEverywhere(t, cat, Map.empty, rule).foreach { t2 =>
-          add(normalize(t2, cat))
+      rules.foreach { case (rule, kept) =>
+        applyEverywhere(t, m, rule, kept).foreach { t2 =>
+          add(norm(t2, m, Map.empty))
         }
       }
     }

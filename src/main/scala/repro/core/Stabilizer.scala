@@ -23,13 +23,9 @@ object Stabilizer {
   /** Provenance of each output column of `t` with respect to the
     * recursive variable `x` (whose sort is `xSort`).
     */
-  def provenance(t: Term, x: String, xSort: Set[String], cat: Catalog,
-                 rec: Map[String, Set[String]] = Map.empty): Map[String, Option[String]] = {
-    val recAll = rec + (x -> xSort)
+  private def provenance(t: Term, x: String, xSort: Set[String], m: Memo): Map[String, Option[String]] = {
     def go(u: Term): Map[String, Option[String]] = u match {
       case RecVar(`x`)   => xSort.map(c => c -> Some(c)).toMap
-      case RecVar(y)     => recAll(y).map(c => c -> (None: Option[String])).toMap
-      case Rel(n)        => cat(n).map(c => c -> (None: Option[String])).toMap
       case Filter(_, s)  => go(s)
       case AntiProj(c, s) => go(s) - c
       case Rename(f, to, s) =>
@@ -46,9 +42,10 @@ object Stabilizer {
       case Union(l, r) =>
         val pl = go(l); val pr = go(r)
         pl.keySet.map(c => c -> (if (pl(c) == pr.getOrElse(c, None)) pl(c) else None)).toMap
-      case Fix(y, _) =>
-        // A nested fixpoint is constant in x (F_cond): no provenance.
-        Analysis.sort(u, cat, recAll - y).map(c => c -> (None: Option[String])).toMap
+      case _ =>
+        // A base relation, or a nested fixpoint, which is constant in x
+        // (F_cond): no provenance.
+        Analysis.sort(u, m, Map(x -> xSort)).map(c => c -> (None: Option[String])).toMap
     }
     go(t)
   }
@@ -56,12 +53,19 @@ object Stabilizer {
   /** Stable columns of a fixpoint in decomposed form: the columns whose
     * provenance is the identity in *every* variable-part branch.
     */
-  def stableCols(fix: Fix, cat: Catalog): Set[String] = {
-    val xSort = Analysis.fixSort(fix, cat)
-    val (_, varBranches) = Analysis.decompose(fix)
-    varBranches.foldLeft(xSort) { (acc, b) =>
-      val p = provenance(b, fix.x, xSort, cat)
-      acc.filter(c => p.getOrElse(c, None).contains(c))
+  def stableCols(fix: Fix, cat: Catalog): Set[String] = stableCols(fix, new Memo(cat))
+
+  /** [[stableCols]], computed once per closed fixpoint of `m`. */
+  def stableCols(fix: Fix, m: Memo): Set[String] = {
+    val kept = m.stable.get(fix)
+    if (kept != null) kept
+    else {
+      val xSort = Analysis.sort(fix, m, Map.empty)
+      val (_, varBranches) = Analysis.decompose(fix, m)
+      m.keep(m.stable, fix, varBranches.foldLeft(xSort) { (acc, b) =>
+        val p = provenance(b, fix.x, xSort, m)
+        acc.filter(c => p.getOrElse(c, None).contains(c))
+      })
     }
   }
 
@@ -75,7 +79,8 @@ object Stabilizer {
     * replaced by `stop(u, cs)`, where `cs` are `cols` as named at `u`.
     */
   def pushSelection(t: Term, cols: Seq[String], cat: Catalog)(stop: (Term, Seq[String]) => Term): Term = {
-    def holds(u: Term, cs: Seq[String]): Boolean = cs.toSet.subsetOf(Analysis.sort(u, cat))
+    val m = new Memo(cat)
+    def holds(u: Term, cs: Seq[String]): Boolean = cs.toSet.subsetOf(Analysis.sort(u, m, Map.empty))
     def go(u: Term, cs: Seq[String]): Term = u match {
       case Filter(c, s)     => Filter(c, go(s, cs))
       case AntiProj(c, s)   => AntiProj(c, go(s, cs))
@@ -86,7 +91,7 @@ object Stabilizer {
         val (inL, inR) = (holds(l, cs), holds(r, cs))
         if (inL || inR) Join(if (inL) go(l, cs) else l, if (inR) go(r, cs) else r)
         else stop(u, cs)
-      case fix: Fix if cs.toSet.subsetOf(stableCols(fix, cat)) =>
+      case fix: Fix if cs.toSet.subsetOf(stableCols(fix, m)) =>
         val (constB, varB) = fix.branches
         Fix(fix.x, Term.unionAll(constB.map(go(_, cs)) ++ varB))
       case _ => stop(u, cs)

@@ -40,16 +40,18 @@ final class MuRaEngine(val spark: SparkSession,
     }
 
   /** Check F_cond + sorts, explore the plan space with the configured
-    * rules, and return the cost-optimal logical plan.
+    * rules, and return the cost-optimal logical plan. One [[Memo]] serves
+    * the whole call, so each plan node is analysed and estimated once.
     */
   def optimize(t: Term): Term = {
     Analysis.checkFcond(t)
-    Analysis.sort(t, cat) // type check
+    val memo = new Memo(cat, stats)
+    Analysis.sort(t, memo, Map.empty) // type check
     // Cost-guided best-first exploration: cheap (well-rewritten) plans are
     // expanded first, so deep rewrite chains are found within the budget.
-    val candidates = Rewriter.explore(t, cat, cfg.rewrite,
-      rank = p => Cost.estimate(p, stats, cat).cost)
-    Cost.best(candidates, stats, cat)
+    val candidates = Rewriter.explore(t, memo, cfg.rewrite, rank = Cost.estimate(_, memo).cost)
+    // Every candidate was ranked, so its cost is a lookup in `memo`.
+    Cost.best(candidates, memo)
   }
 
   /** Base relations broadcast to `P_plw^s` tasks, shared by every query

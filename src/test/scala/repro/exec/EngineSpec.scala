@@ -5,6 +5,8 @@ import repro.SparkTestData._
 import repro.baselines.{CentralizedMuRA, GraphXRPQ}
 import repro.core._
 import repro.core.TestGraphs.{labeledRel, randLabeled}
+import repro.graphdata.GraphData
+import repro.queries.PaperQueries
 import repro.ucrpq.Query2Mu
 
 /** End-to-end engine tests: every engine variant (Dist-μ-RA with each
@@ -118,6 +120,18 @@ class EngineSpec extends SparkSpec {
     val eng = Engines.distMuRA(spark, catalog, consts, 4)
     val q = "?x,?y <- ?x a+/b+ ?y"
     assert(eng.plan(q) == eng.plan(q))
+    // The two largest plan spaces of the benchmark: concat n=6 and Yago Q20.
+    val labels = (0 until 6).map(i => s"a$i")
+    val concat = GraphData.withRandomLabels(spark, GraphData.erdosRenyi(spark, 40, 0.08, seed = 5), labels, seed = 6)
+    val yago = GraphData.yagoLite(spark, scale = 0.03, seed = 3)
+    Seq(
+      (concat, Map.empty[String, Any], PaperQueries.concatClosure(labels)),
+      (yago.edges, yago.constants, PaperQueries.yago.find(_.id == "Q20").get.query)).foreach { case (g, cs, q) =>
+      val e = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> g), cs, 4)
+      val p = e.plan(q)
+      assert(e.plan(q) == p, q)
+      assert(Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> g), cs, 4).plan(q) == p, q)
+    }
   }
 
   test("RDBMS backends reject a column type DuckDB tables cannot hold") {
