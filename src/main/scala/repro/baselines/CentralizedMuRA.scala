@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.core._
-import repro.exec.{DuckDb, EngineConfig, ExecConfig, Executor, MuRaEngine, PlanChoice}
+import repro.exec.{DuckDb, Engines, Executor}
 import repro.ucrpq.Query2Mu
 
 /** Centralized μ-RA baseline ([11]): the same logical optimizations as
@@ -17,8 +17,9 @@ final class CentralizedMuRA(spark: SparkSession,
 
   val name = "Centralized mu-RA"
 
-  private val planner = new MuRaEngine(spark, catalog, constants,
-    EngineConfig("centralized-planner", RewriteConfig.all, ExecConfig(PlanChoice.ForceGld)))
+  /** Dist-μ-RA's planner; only its rewrites and statistics are used. */
+  private val planner =
+    Engines(Engines.DistMuRA, spark, catalog, constants, spark.sparkContext.defaultParallelism)
 
   /** Force planner statistics collection before timing (see MuRaEngine). */
   def warmup(): Unit = planner.warmup()

@@ -1,224 +1,315 @@
 package repro.bench
 
+import java.nio.file.{Files, Path, Paths}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{CentralizedMuRA, GraphXRPQ}
+import repro.core.Term
 import repro.exec.{Engines, MuRaEngine}
 import repro.graphdata.GraphData
 import repro.queries.{MuRaTerms, PaperQueries}
 import repro.ucrpq.Query2Mu
 import Harness._
 
-/** One experiment per evaluation artifact of the paper (Table I and
-  * Figs. 7–14). Each returns a printable table; the bench suites tee
-  * these into bench_output.txt and EXPERIMENTS.md records them next to
-  * the paper's numbers. Dataset scales are reduced for a single machine
-  * (see DESIGN.md §2) and are env-tunable.
+/** The runner of the paper's evaluation artifacts (Table I and
+  * Figs. 7–14). Each artifact builds one table, checks it, and writes it
+  * into EXPERIMENTS.md between its markers:
+  *
+  * {{{
+  *   sbt "runMain repro.bench.Experiments fig9 fig10"
+  *   spark-submit --class repro.bench.Experiments target/scala-2.13/repro_2.13-*.jar
+  * }}}
+  *
+  * With no ids it runs every artifact. Dataset scales are the constants
+  * below, reduced for one 4-core machine (DESIGN.md §4).
   */
 object Experiments {
 
-  private def envD(name: String, d: Double): Double = sys.env.get(name).map(_.toDouble).getOrElse(d)
-  private def envL(name: String, d: Long): Long = sys.env.get(name).map(_.toLong).getOrElse(d)
+  // ------------------------------------------------------------- scales
 
-  def nPart: Int = 16
+  val YagoScale: Double = 0.2
+  val RndGraphs: Seq[(Int, Double)] = Seq(1000 -> 0.005, 2000 -> 0.002, 3000 -> 0.001)
+  /** Random trees at the paper's `tree_10` and `tree_150` sizes. */
+  val Table1Trees: Seq[Int] = Seq(10000, 150000)
+  val Table1UniprotEdges: Seq[Long] = Seq(20000L, 50000L, 100000L)
+  val ConcatNodes: Int = 1500
+  val ConcatP: Double = 0.01
+  val AnbnNodes: Int = 1000
+  val SameGenTreeNodes: Int = 2000
+  val ReachNodes: Int = 10000
+  val Fig12TreeNodes: Seq[Int] = Seq(500, 1000, 2000, 4000)
+  val Fig13Edges: Long = 20000L
+  val Fig14Edges: Long = 8000L
+  val Fig8Edges: Seq[Long] = Seq(10000L, 30000L, 60000L)
+
+  /** Spark SQL shuffle partitions of the runner's session. */
+  private val ShufflePartitions: Int = 64
+
+  /** The session the runner (and the test suites) use: `SPARK_MASTER`
+    * or all local cores, Spark logging at WARN, and broadcast joins off,
+    * so that Catalyst's joins exercise the shuffle path at test scale.
+    */
+  def session(appName: String): SparkSession = {
+    val s = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .config("spark.sql.shuffle.partitions", ShufflePartitions.toLong)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1L)
+      .getOrCreate()
+    // At INFO, Spark writes some 400k log lines per test run.
+    s.sparkContext.setLogLevel("WARN")
+    s
+  }
+
+  // ---------------------------------------------------------- artifacts
+
+  /** One evaluation artifact: its id, the first cell of every row its
+    * table must have, and how to build that table.
+    */
+  final case class Artifact(id: String, rows: Seq[String], build: SparkSession => Table)
+
+  val artifacts: Seq[Artifact] = Seq(
+    Artifact("table1", table1Names, table1),
+    Artifact("fig7", fig7Queries.map(_.id), fig7),
+    Artifact("fig8", PaperQueries.uniprot.map(_.id), fig8),
+    Artifact("fig9", PaperQueries.yago.map(_.id), fig9),
+    Artifact("fig10", concatKs.map(k => s"n=$k"), fig10),
+    Artifact("fig11", Seq("anbn", "same_generation", "reach"), fig11),
+    Artifact("fig12", Fig12TreeNodes.map(n => s"tree_$n"), fig12),
+    Artifact("fig13", PaperQueries.uniprot.map(_.id), fig13),
+    Artifact("fig14", PaperQueries.uniprot.map(_.id), fig14),
+  )
+
+  /** The artifacts named by `ids`, in order; unknown ids are an error. */
+  def select(ids: Seq[String]): Seq[Artifact] = {
+    val byId = artifacts.map(a => a.id -> a).toMap
+    val unknown = ids.filterNot(byId.contains)
+    if (unknown.nonEmpty)
+      throw new IllegalArgumentException(
+        s"unknown artifact id(s) ${unknown.mkString(", ")}; valid ids: ${artifacts.map(_.id).mkString(" ")}")
+    ids.map(byId)
+  }
+
+  /** The artifact's sanity check: every expected row is present and no
+    * Dist-μ-RA cell failed (a timeout is a measured result).
+    */
+  def check(a: Artifact, t: Table): Unit = {
+    val present = t.rows.map(_.head).toSet
+    val missing = a.rows.filterNot(present)
+    val failed = for {
+      r <- t.rows
+      (h, c) <- t.header.zip(r)
+      if h.startsWith(Engines.DistMuRA.name) && c.startsWith("fail")
+    } yield s"${r.head} on $h: $c"
+    if (missing.nonEmpty || failed.nonEmpty)
+      throw new IllegalStateException(
+        s"${a.id}: missing rows [${missing.mkString(", ")}]; Dist-mu-RA failed on [${failed.mkString(", ")}]")
+  }
+
+  /** `doc` with the block between the artifact's begin and end markers
+    * replaced by `block`. Each marker must occur exactly once.
+    */
+  def splice(doc: String, id: String, block: String): String = {
+    val (begin, end) = (s"<!-- BEGIN $id -->", s"<!-- END $id -->")
+    def at(marker: String): Int = {
+      val i = doc.indexOf(marker)
+      if (i < 0 || doc.indexOf(marker, i + 1) >= 0)
+        throw new IllegalArgumentException(s"$id: the document needs exactly one '$marker' marker")
+      i
+    }
+    val (b, e) = (at(begin) + begin.length, at(end))
+    if (b > e) throw new IllegalArgumentException(s"$id: '$end' comes before '$begin'")
+    doc.substring(0, b) + "\n" + block.trim + "\n" + doc.substring(e)
+  }
+
+  private val ExperimentsFile: Path = Paths.get("EXPERIMENTS.md")
+
+  /** Run the artifacts named in `args` (all by default) and write each
+    * table into EXPERIMENTS.md, in the working directory, once it passes
+    * its check. An unknown id, a missing marker or a failed check throws.
+    */
+  def main(args: Array[String]): Unit = {
+    val chosen = select(if (args.isEmpty) artifacts.map(_.id) else args.toSeq)
+    chosen.foreach(a => splice(Files.readString(ExperimentsFile), a.id, ""))
+    val spark = session("repro-experiments")
+    try chosen.foreach { a =>
+      val t0 = System.nanoTime()
+      val t = a.build(spark)
+      println(t.render)
+      check(a, t)
+      val block = t.render + f"\nWall time: ${(System.nanoTime() - t0) / 1e9}%.0f s on " +
+        s"`${spark.sparkContext.master}`, defaultParallelism ${spark.sparkContext.defaultParallelism}."
+      Files.writeString(ExperimentsFile, splice(Files.readString(ExperimentsFile), a.id, block))
+    } finally spark.stop()
+  }
+
+  // ------------------------------------------------------------ helpers
+
+  /** A system under measurement: its name, its untimed preparation and
+    * how it answers a UCRPQ.
+    */
+  private final case class Contender(name: String, runQuery: String => DataFrame,
+                                     prepare: () => Unit = () => ())
+
+  private def engine(spark: SparkSession, v: Engines.Variant, catalog: Map[String, DataFrame],
+                     constants: Map[String, Any]): MuRaEngine =
+    Engines(v, spark, catalog, constants, spark.sparkContext.defaultParallelism)
+
+  private def contender(e: MuRaEngine): Contender = Contender(e.cfg.name, e.runQuery, () => e.warmup())
+
+  private def centralized(spark: SparkSession, catalog: Map[String, DataFrame],
+                          constants: Map[String, Any]): Contender = {
+    val c = new CentralizedMuRA(spark, catalog, constants)
+    Contender(c.name, c.runQuery, () => c.warmup())
+  }
+
+  private def graphX(spark: SparkSession, edges: DataFrame, constants: Map[String, Any]): Contender =
+    Contender("GraphX", q => GraphXRPQ.runQuery(spark, edges, q, constants))
+
+  /** Prepare every contender and run `warmQuery` once on each (JIT and
+    * codegen), untimed; then time every query on every contender.
+    */
+  private def measure(spark: SparkSession, contenders: Seq[Contender], warmQuery: String,
+                      queries: Seq[(String, String)]): Seq[Measurement] = {
+    contenders.foreach { c => c.prepare(); c.runQuery(warmQuery).count() }
+    for ((id, q) <- queries; c <- contenders) yield timed(spark, c.name, id)(c.runQuery(q))
+  }
+
+  private def classes(qs: Seq[PaperQueries.Q]): String =
+    "Classes: " + qs.map(q => s"${q.id}:${q.classes.mkString("/")}").mkString(" ")
+
+  private def cached(df: DataFrame): DataFrame = { df.cache().count(); df }
 
   // ------------------------------------------------------------ Table I
+
+  private def table1Names: Seq[String] =
+    RndGraphs.map { case (n, p) => s"rnd_${n / 1000}k_$p" } ++ Table1Trees.map(n => s"tree_${n / 1000}") ++
+      Table1UniprotEdges.map(n => s"uniprot_${n / 1000}k") :+ "yago_lite"
 
   /** Table I: edges, nodes, TC size per dataset (ours, scaled; the
     * paper's values are recorded in EXPERIMENTS.md for comparison).
     */
-  def table1(spark: SparkSession): String = {
-    def tcSize(edges: DataFrame): Long = {
-      val eng = Engines.distMuRA(spark, Map("R" -> edges), Map.empty, nPart)
-      eng.run(MuRaTerms.tc).count()
-    }
-    def nodes(edges: DataFrame): Long =
-      edges.select("src").union(edges.select("trg")).distinct().count()
-
-    val rows = Seq.newBuilder[Seq[String]]
-    def addUnlabeled(name: String, df: DataFrame): Unit = {
-      val e = df.count(); val n = nodes(df)
-      rows += Seq(name, e.toString, n.toString, tcSize(df).toString)
-    }
-    addUnlabeled("rnd_1k_0.005", GraphData.erdosRenyi(spark, 1000, 0.005))
-    addUnlabeled("rnd_2k_0.002", GraphData.erdosRenyi(spark, 2000, 0.002))
-    addUnlabeled("rnd_3k_0.001", GraphData.erdosRenyi(spark, 3000, 0.001))
-    addUnlabeled("tree_10 (10k nodes, paper scale)", GraphData.randomTree(spark, 10000))
-    addUnlabeled("tree_150 (150k nodes, paper scale)", GraphData.randomTree(spark, 150000))
-    Seq(20000L, 50000L, 100000L).foreach { n =>
-      val g = GraphData.uniprotLite(spark, envL("UNIPROT_EDGES", n))
-      rows += Seq(s"uniprot_${n / 1000}k", g.nEdges.toString, g.nNodes.toString, "-")
-    }
-    val y = GraphData.yagoLite(spark, envD("YAGO_SCALE", 1.0))
-    rows += Seq("yago_lite", y.nEdges.toString, y.nNodes.toString, "-")
-    table("Table I — real and synthetic graphs (ours, scaled)",
-      Seq("dataset", "edges", "nodes", "TC size"), rows.result())
+  def table1(spark: SparkSession): Table = {
+    def unlabeled(df: DataFrame): Seq[Long] = Seq(df.count(),
+      df.select("src").union(df.select("trg")).distinct().count(),
+      engine(spark, Engines.DistMuRA, Map("R" -> df), Map.empty).run(MuRaTerms.tc).count())
+    val counts = RndGraphs.map { case (n, p) => unlabeled(GraphData.erdosRenyi(spark, n, p)) } ++
+      Table1Trees.map(n => unlabeled(GraphData.randomTree(spark, n))) ++
+      (Table1UniprotEdges.map(GraphData.uniprotLite(spark, _)) :+ GraphData.yagoLite(spark, YagoScale))
+        .map(g => Seq(g.nEdges, g.nNodes))
+    Table("Table I — real and synthetic graphs (ours, scaled)", Seq("dataset", "edges", "nodes", "TC size"),
+      table1Names.zip(counts).map { case (name, cs) => name +: cs.map(_.toString).padTo(3, "-") })
   }
 
   // ----------------------------------------------------- Yago workloads
 
-  def yagoCatalog(spark: SparkSession): (Map[String, DataFrame], Map[String, Any]) = {
-    val g = GraphData.yagoLite(spark, envD("YAGO_SCALE", 1.0))
-    (Map(Query2Mu.GraphRel -> g.edges), g.constants)
+  private def yagoCatalog(spark: SparkSession): (Map[String, DataFrame], Map[String, Any]) = {
+    val g = GraphData.yagoLite(spark, YagoScale)
+    (Map(Query2Mu.GraphRel -> cached(g.edges)), g.constants)
   }
+
+  private val yagoWarmQuery = "?a,?b <- ?a livesIn ?b"
+  private def fig7Queries: Seq[PaperQueries.Q] = PaperQueries.yago.take(9)
 
   /** Fig. 7: the two P_plw implementations (SetRDD-style vs per-worker
     * RDBMS) on Yago queries.
     */
-  def fig7(spark: SparkSession): String = {
+  def fig7(spark: SparkSession): Table = {
     val (cat, consts) = yagoCatalog(spark)
-    cat.values.foreach(df => df.cache().count())
-    val plwS = Engines.distMuRAPlwS(spark, cat, consts, nPart)
-    val plwPg = Engines.distMuRAPlwPg(spark, cat, consts, nPart)
-    Seq(plwS, plwPg).foreach(_.warmup())
-    val queries = PaperQueries.yago.take(9)
-    val ms = for {
-      q <- queries
-      (sys, eng) <- Seq("P_plw^s (SetRDD)" -> plwS, "P_plw^pg (RDBMS)" -> plwPg)
-    } yield timed(spark, sys, q.id)(eng.runQuery(q.query))
-    pivot("Fig. 7 — P_plw implementations on Yago-lite", ms)
+    val cs = Seq(Engines.DistMuRAPlwS, Engines.DistMuRAPlwPg).map(v => contender(engine(spark, v, cat, consts)))
+    pivot("Fig. 7 — P_plw implementations on Yago-lite",
+      measure(spark, cs, yagoWarmQuery, fig7Queries.map(q => q.id -> q.query)))
   }
 
   /** Fig. 9: running times on Yago across the five systems. */
-  def fig9(spark: SparkSession): String = {
+  def fig9(spark: SparkSession): Table = {
     val (cat, consts) = yagoCatalog(spark)
-    cat.values.foreach(df => df.cache().count())
-    val dist = Engines.distMuRA(spark, cat, consts, nPart)
-    val gld = Engines.distMuRAGld(spark, cat, consts, nPart)
-    val bd = Engines.bigDatalogLite(spark, cat, consts, nPart)
-    val central = new CentralizedMuRA(spark, cat, consts)
-    Seq(dist, gld, bd).foreach(_.warmup()); central.warmup()
-    // one untimed non-recursive query per engine: JIT + codegen warmup
-    val warmQ = "?a,?b <- ?a livesIn ?b"
-    Seq(dist, gld, bd).foreach(e => e.runQuery(warmQ).count())
-    central.runQuery(warmQ).count()
-    val gdf = cat(Query2Mu.GraphRel)
-    val ms = for (q <- PaperQueries.yago) yield Seq(
-      timed(spark, "Dist-mu-RA", q.id)(dist.runQuery(q.query)),
-      timed(spark, "Dist-mu-RA P_gld", q.id)(gld.runQuery(q.query)),
-      timed(spark, "BigDatalog-lite", q.id)(bd.runQuery(q.query)),
-      timed(spark, "Centralized mu-RA", q.id)(central.runQuery(q.query)),
-      timed(spark, "GraphX", q.id)(GraphXRPQ.runQuery(spark, gdf, q.query, consts)),
-    )
-    pivot("Fig. 9 — running times on Yago-lite", ms.flatten,
-      note = "classes: " + PaperQueries.yago.map(q => s"${q.id}:${q.classes.mkString("/")}").mkString(" "))
+    val cs = Seq(Engines.DistMuRA, Engines.DistMuRAGld, Engines.BigDatalogLite)
+      .map(v => contender(engine(spark, v, cat, consts))) ++
+      Seq(centralized(spark, cat, consts), graphX(spark, cat(Query2Mu.GraphRel), consts))
+    pivot("Fig. 9 — running times on Yago-lite",
+      measure(spark, cs, yagoWarmQuery, PaperQueries.yago.map(q => q.id -> q.query)),
+      classes(PaperQueries.yago))
   }
 
   // ------------------------------------------- Fig. 10: concat closures
 
-  def fig10(spark: SparkSession): String = {
-    val n = envL("CONCAT_N", 1500).toInt
-    val p = envD("CONCAT_P", 0.01)
+  private def concatKs: Seq[Int] = 2 to 10
+
+  def fig10(spark: SparkSession): Table = {
     val labels = (0 until 10).map(i => s"a$i")
-    val base = GraphData.erdosRenyi(spark, n, p, seed = 5)
-    val gdf = GraphData.withRandomLabels(spark, base, labels, seed = 6).cache()
-    gdf.count()
+    val base = GraphData.erdosRenyi(spark, ConcatNodes, ConcatP, seed = 5)
+    val gdf = cached(GraphData.withRandomLabels(spark, base, labels, seed = 6))
     val cat = Map(Query2Mu.GraphRel -> gdf)
-    val dist = Engines.distMuRA(spark, cat, Map.empty, nPart)
-    val bd = Engines.bigDatalogLite(spark, cat, Map.empty, nPart)
-    val central = new CentralizedMuRA(spark, cat, Map.empty)
-    Seq(dist, bd).foreach(_.warmup()); central.warmup()
-    val ms = for (k <- 2 to 10) yield {
-      val q = PaperQueries.concatClosure(labels.take(k))
-      val qid = s"n=$k"
-      Seq(
-        timed(spark, "Dist-mu-RA", qid)(dist.runQuery(q)),
-        timed(spark, "BigDatalog-lite", qid)(bd.runQuery(q)),
-        timed(spark, "Centralized mu-RA", qid)(central.runQuery(q)),
-        timed(spark, "GraphX", qid)(GraphXRPQ.runQuery(spark, gdf, q, Map.empty)),
-      )
-    }
-    pivot(s"Fig. 10 — concatenated closures a1+/../an+ (rnd_${n}_$p, 10 labels)", ms.flatten)
+    val cs = Seq(Engines.DistMuRA, Engines.BigDatalogLite).map(v => contender(engine(spark, v, cat, Map.empty))) ++
+      Seq(centralized(spark, cat, Map.empty), graphX(spark, gdf, Map.empty))
+    val queries = concatKs.map(k => s"n=$k" -> PaperQueries.concatClosure(labels.take(k)))
+    pivot(s"Fig. 10 — concatenated closures a1+/../an+ (rnd_${ConcatNodes}_$ConcatP, 10 labels)",
+      measure(spark, cs, "?x,?y <- ?x a0 ?y", queries))
   }
 
   // ---------------------------------------------- Fig. 11: μ-RA queries
 
-  def fig11(spark: SparkSession): String = {
-    val ms = Seq.newBuilder[Measurement]
+  def fig11(spark: SparkSession): Table = {
     // a^n b^n on a labeled random graph
     val ab = GraphData.withRandomLabels(spark,
-      GraphData.erdosRenyi(spark, envL("ANBN_N", 1000).toInt, 0.01, seed = 8), Seq("a", "b"), seed = 9)
-    val catAb = Map("G" -> ab.cache())
-    // same generation on a random tree
-    val tree = GraphData.randomTree(spark, envL("SG_N", 2000).toInt)
-    val catSg = Map("R" -> tree.cache())
-    // reach on a random graph, from node 1
-    val rnd = GraphData.erdosRenyi(spark, envL("REACH_N", 10000).toInt, 0.001, seed = 10)
-    val catReach = Map("R" -> rnd.cache())
-    Seq(catAb, catSg, catReach).foreach(_.values.foreach(df => df.cache().count()))
-    for ((sysName, mk) <- Seq[(String, Map[String, DataFrame] => MuRaEngine)](
-      "Dist-mu-RA" -> (c => Engines.distMuRA(spark, c, Map.empty, nPart)),
-      "BigDatalog-lite" -> (c => Engines.bigDatalogLite(spark, c, Map.empty, nPart)))) {
-      val eAb = mk(catAb); val eSg = mk(catSg); val eReach = mk(catReach)
-      Seq(eAb, eSg, eReach).foreach(_.warmup())
-      ms += timed(spark, sysName, "anbn")(eAb.run(MuRaTerms.anbn))
-      ms += timed(spark, sysName, "same_generation")(eSg.run(MuRaTerms.sameGeneration))
-      ms += timed(spark, sysName, "reach")(eReach.run(MuRaTerms.reach(1L)))
+      GraphData.erdosRenyi(spark, AnbnNodes, 0.01, seed = 8), Seq("a", "b"), seed = 9)
+    // same generation on a random tree; reach on a random graph, from node 1
+    val tree = GraphData.randomTree(spark, SameGenTreeNodes)
+    val rnd = GraphData.erdosRenyi(spark, ReachNodes, 0.001, seed = 10)
+    val terms: Seq[(String, Map[String, DataFrame], Term)] = Seq(
+      ("anbn", Map("G" -> cached(ab)), MuRaTerms.anbn),
+      ("same_generation", Map("R" -> cached(tree)), MuRaTerms.sameGeneration),
+      ("reach", Map("R" -> cached(rnd)), MuRaTerms.reach(1L)))
+    val ms = for (v <- Seq(Engines.DistMuRA, Engines.BigDatalogLite); (id, cat, t) <- terms) yield {
+      val e = engine(spark, v, cat, Map.empty)
+      e.warmup()
+      timed(spark, v.name, id)(e.run(t))
     }
-    pivot("Fig. 11 — general μ-RA terms", ms.result())
+    pivot("Fig. 11 — general μ-RA terms", ms)
   }
 
   // ------------------------------------- Fig. 12: same generation/Myria
 
-  def fig12(spark: SparkSession): String = {
-    val sizes = Seq(500, 1000, 2000, 4000)
-    val ms = for (n <- sizes) yield {
-      val cat = Map("R" -> GraphData.randomTree(spark, n).cache())
-      cat.values.foreach(_.count())
-      val dist = Engines.distMuRA(spark, cat, Map.empty, nPart)
-      val myria = Engines.myriaLite(spark, cat, Map.empty, nPart)
-      Seq(dist, myria).foreach(_.warmup())
-      Seq(
-        timed(spark, "Dist-mu-RA", s"tree_$n")(dist.run(MuRaTerms.sameGeneration)),
-        timed(spark, "Myria-lite", s"tree_$n")(myria.run(MuRaTerms.sameGeneration)))
+  def fig12(spark: SparkSession): Table = {
+    val ms = for (n <- Fig12TreeNodes; v <- Seq(Engines.DistMuRA, Engines.MyriaLite)) yield {
+      val e = engine(spark, v, Map("R" -> cached(GraphData.randomTree(spark, n))), Map.empty)
+      e.warmup()
+      timed(spark, v.name, s"tree_$n")(e.run(MuRaTerms.sameGeneration))
     }
-    pivot("Fig. 12 — same generation vs Myria-lite (random trees)", ms.flatten)
+    pivot("Fig. 12 — same generation vs Myria-lite (random trees)", ms)
   }
 
-  // -------------------------------------- Figs. 13/14: Uniprot workload
+  // ----------------------------------- Figs. 8, 13, 14: Uniprot workload
 
-  def uniprotRun(spark: SparkSession, nEdges: Long,
-                 systems: Seq[String], title: String): String = {
+  /** Q26–Q50 on uniprot-lite with `nEdges` edges, each variant's column
+    * headed by its name and `suffix`.
+    */
+  private def uniprot(spark: SparkSession, nEdges: Long, variants: Seq[Engines.Variant],
+                      withGraphX: Boolean = false, suffix: String = ""): Seq[Measurement] = {
     val g = GraphData.uniprotLite(spark, nEdges)
-    g.edges.cache().count()
-    val cat = Map(Query2Mu.GraphRel -> g.edges)
-    def warmed(e: MuRaEngine): MuRaEngine = {
-      if (systems.contains(e.cfg.name)) {
-        e.warmup()
-        e.runQuery("?x,?y <- ?x interacts ?y").count() // untimed JIT warmup
-      }
-      e
-    }
-    val engines: Map[String, String => DataFrame] = Map(
-      "Dist-mu-RA" -> warmed(Engines.distMuRA(spark, cat, g.constants, nPart)).runQuery _,
-      "BigDatalog-lite" -> warmed(Engines.bigDatalogLite(spark, cat, g.constants, nPart)).runQuery _,
-      "Myria-lite" -> warmed(Engines.myriaLite(spark, cat, g.constants, nPart)).runQuery _,
-      "GraphX" -> ((q: String) => GraphXRPQ.runQuery(spark, g.edges, q, g.constants)))
-    val ms = for (q <- PaperQueries.uniprot; sys <- systems)
-      yield timed(spark, sys, q.id)(engines(sys)(q.query))
-    pivot(title, ms,
-      note = "classes: " + PaperQueries.uniprot.map(q => s"${q.id}:${q.classes.mkString("/")}").mkString(" "))
+    val cat = Map(Query2Mu.GraphRel -> cached(g.edges))
+    val cs = variants.map(v => contender(engine(spark, v, cat, g.constants))) ++
+      (if (withGraphX) Seq(graphX(spark, g.edges, g.constants)) else Nil)
+    measure(spark, cs.map(c => c.copy(name = c.name + suffix)), "?x,?y <- ?x interacts ?y",
+      PaperQueries.uniprot.map(q => q.id -> q.query))
   }
 
   /** Fig. 13: running times on uniprot-lite (the paper's uniprot_1M). */
-  def fig13(spark: SparkSession): String =
-    uniprotRun(spark, envL("UNIPROT13_EDGES", 20000),
-      Seq("Dist-mu-RA", "BigDatalog-lite", "GraphX"),
-      "Fig. 13 — running times on uniprot-lite (≈20k edges)")
+  def fig13(spark: SparkSession): Table =
+    pivot(s"Fig. 13 — running times on uniprot-lite ($Fig13Edges edges)",
+      uniprot(spark, Fig13Edges, Seq(Engines.DistMuRA, Engines.BigDatalogLite), withGraphX = true),
+      classes(PaperQueries.uniprot))
 
   /** Fig. 14: Myria comparison on a smaller file (the paper's uniprot_100k). */
-  def fig14(spark: SparkSession): String =
-    uniprotRun(spark, envL("UNIPROT14_EDGES", 8000),
-      Seq("Dist-mu-RA", "Myria-lite"),
-      "Fig. 14 — Myria-lite vs Dist-mu-RA on uniprot-lite (≈8k edges)")
+  def fig14(spark: SparkSession): Table =
+    pivot(s"Fig. 14 — Myria-lite vs Dist-mu-RA on uniprot-lite ($Fig14Edges edges)",
+      uniprot(spark, Fig14Edges, Seq(Engines.DistMuRA, Engines.MyriaLite)),
+      classes(PaperQueries.uniprot))
 
-  // --------------------------------------------- Fig. 8: Uniprot scaling
-
-  def fig8(spark: SparkSession): String = {
-    val sizes = Seq(envL("FIG8_S1", 10000), envL("FIG8_S2", 30000), envL("FIG8_S3", 60000))
-    val tables = sizes.map { n =>
-      uniprotRun(spark, n, Seq("Dist-mu-RA", "BigDatalog-lite"),
-        s"Fig. 8 — scalability on uniprot-lite with $n edges")
-    }
-    tables.mkString("\n")
-  }
+  /** Fig. 8: Dist-μ-RA and BigDatalog-lite across uniprot-lite sizes. */
+  def fig8(spark: SparkSession): Table =
+    pivot(s"Fig. 8 — scalability on uniprot-lite (${Fig8Edges.mkString("/")} edges)",
+      Fig8Edges.flatMap(n => uniprot(spark, n, Seq(Engines.DistMuRA, Engines.BigDatalogLite),
+        suffix = s" @${n / 1000}k")),
+      s"Result rows are those at ${Fig8Edges.head} edges.")
 }

@@ -6,8 +6,7 @@ import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit, 
 /** Benchmark harness: runs one engine invocation with a wall-clock
   * timeout (cancelling the Spark job group and interrupting the driver
   * thread on expiry — the analogue of the paper's 1000 s timeout in
-  * Fig. 9) and renders aligned text tables
-  * for EXPERIMENTS.md.
+  * Fig. 9) and renders the tables of EXPERIMENTS.md.
   */
 object Harness {
 
@@ -29,7 +28,7 @@ object Harness {
   /** Default per-run timeout; the paper uses 1000 s on a 160-core
     * cluster — scaled down alongside the datasets.
     */
-  def defaultTimeoutMs: Long = sys.env.getOrElse("BENCH_TIMEOUT_MS", "60000").toLong
+  val DefaultTimeoutMs: Long = 60000L
 
   /** Execute `mk` (which must both build and *materialize* the result —
     * we call `.count()` on the returned DataFrame) under a timeout. On
@@ -38,7 +37,7 @@ object Harness {
     * loop, a local fixpoint) stops too.
     */
   def timed(spark: SparkSession, system: String, qid: String,
-            timeoutMs: Long = defaultTimeoutMs)(mk: => DataFrame): Measurement = {
+            timeoutMs: Long = DefaultTimeoutMs)(mk: => DataFrame): Measurement = {
     val group = s"bench-$system-$qid-${System.nanoTime()}"
     val fut = pool.submit(new Callable[(Long, Long)] {
       def call(): (Long, Long) = {
@@ -65,24 +64,24 @@ object Harness {
   private def rootCause(e: Throwable): Throwable =
     if (e.getCause != null && e.getCause != e) rootCause(e.getCause) else e
 
-  /** Render an aligned text table; also returned as a string so bench
-    * suites can both print it and keep it in the test report.
-    */
-  def table(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
-    val all = header +: rows
-    val widths = header.indices.map(i => all.map(r => if (i < r.size) r(i).length else 0).max)
-    def fmt(r: Seq[String]): String =
-      r.zipWithIndex.map { case (c, i) => c.padTo(widths(i), ' ') }.mkString("| ", " | ", " |")
-    val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
-    val sb = new StringBuilder
-    sb.append(s"\n== $title ==\n")
-    sb.append(fmt(header)).append('\n').append(sep).append('\n')
-    rows.foreach(r => sb.append(fmt(r)).append('\n'))
-    sb.toString()
+  /** A results table, keyed by the first cell of each row. */
+  final case class Table(title: String, header: Seq[String], rows: Seq[Seq[String]], note: String = "") {
+
+    /** Markdown: the title in bold, then the aligned table and the note. */
+    def render: String = {
+      val all = header +: rows
+      val widths = header.indices.map(i => all.map(r => if (i < r.size) r(i).length else 0).max)
+      def fmt(r: Seq[String]): String =
+        r.zipWithIndex.map { case (c, i) => c.padTo(widths(i), ' ') }.mkString("| ", " | ", " |")
+      val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
+      val lines = Seq(s"**$title**", "", fmt(header), sep) ++ rows.map(fmt) ++
+        (if (note.nonEmpty) Seq("", note) else Nil)
+      lines.mkString("", "\n", "\n")
+    }
   }
 
   /** Pivot measurements into a qid × system table. */
-  def pivot(title: String, ms: Seq[Measurement], note: String = ""): String = {
+  def pivot(title: String, ms: Seq[Measurement], note: String = ""): Table = {
     val systems = ms.map(_.system).distinct
     val qids = ms.map(_.qid).distinct
     val byKey = ms.map(m => (m.qid, m.system) -> m).toMap
@@ -92,7 +91,6 @@ object Harness {
         .map(_.toString).getOrElse("-")
       q +: cells :+ rc
     }
-    val t = table(title, "query" +: systems :+ "result rows", rowsByQ)
-    if (note.nonEmpty) t + note + "\n" else t
+    Table(title, "query" +: systems :+ "result rows", rowsByQ, note)
   }
 }

@@ -11,11 +11,7 @@ import repro.ucrpq.Query2Mu
   * may be chosen, partitions, iteration). The baseline systems of the
   * paper are modeled as restricted configurations (see DESIGN.md §2).
   */
-final case class EngineConfig(
-    name: String = "Dist-mu-RA",
-    rewrite: RewriteConfig = RewriteConfig.all,
-    exec: ExecConfig = ExecConfig(),
-)
+final case class EngineConfig(name: String, rewrite: RewriteConfig, exec: ExecConfig)
 
 /** The Dist-μ-RA pipeline of Fig. 3: Query2Mu → MuRewriter →
   * CostEstimator → PhysicalPlanGenerator → distributed execution.
@@ -80,52 +76,49 @@ final class MuRaEngine(val spark: SparkSession,
   def warmup(): Unit = { val _ = stats }
 }
 
-/** Factory for the engine variants compared in the paper's evaluation. */
+/** The engine variants compared in the paper's evaluation, and the one
+  * factory that builds any of them.
+  */
 object Engines {
-  def distMuRA(spark: SparkSession, catalog: Map[String, DataFrame],
-               constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA", RewriteConfig.all, ExecConfig(PlanChoice.Auto, nPartitions)))
 
-  /** Ablation: all fixpoints forced to the global-driver-loop plan. */
-  def distMuRAGld(spark: SparkSession, catalog: Map[String, DataFrame],
-                  constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_gld)", RewriteConfig.all, ExecConfig(PlanChoice.ForceGld, nPartitions)))
-
-  /** Fig. 7 variant: parallel local worker loops, SetRDD-style. */
-  def distMuRAPlwS(spark: SparkSession, catalog: Map[String, DataFrame],
-                   constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_plw^s)", RewriteConfig.all, ExecConfig(PlanChoice.ForcePlwS, nPartitions)))
-
-  /** Fig. 7 variant: parallel local worker loops on the per-worker RDBMS
-    * (DuckDB substituting PostgreSQL).
+  /** A variant: the rewrites it may apply, the physical plan of its
+    * fixpoints and whether it iterates semi-naively.
     */
-  def distMuRAPlwPg(spark: SparkSession, catalog: Map[String, DataFrame],
-                    constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_plw^pg)", RewriteConfig.all, ExecConfig(PlanChoice.ForcePlwPg, nPartitions)))
+  final case class Variant(name: String, rewrite: RewriteConfig, plan: PlanChoice,
+                           semiNaive: Boolean = true)
 
+  val DistMuRA: Variant = Variant("Dist-mu-RA", RewriteConfig.all, PlanChoice.Auto)
+  /** Ablation: all fixpoints forced to the global-driver-loop plan. */
+  val DistMuRAGld: Variant = Variant("Dist-mu-RA (P_gld)", RewriteConfig.all, PlanChoice.ForceGld)
+  /** Fig. 7: parallel local worker loops, SetRDD-style. */
+  val DistMuRAPlwS: Variant = Variant("Dist-mu-RA (P_plw_s)", RewriteConfig.all, PlanChoice.ForcePlwS)
+  /** Fig. 7: parallel local worker loops on the per-worker RDBMS (DuckDB
+    * substituting PostgreSQL).
+    */
+  val DistMuRAPlwPg: Variant = Variant("Dist-mu-RA (P_plw_pg)", RewriteConfig.all, PlanChoice.ForcePlwPg)
   /** BigDatalog-equivalent: semi-naive distributed Datalog with
     * Magic-sets-level optimization (pushes in the written direction only
     * — no fixpoint reversal, no fixpoint merging, Sec. VI) but with
     * decomposable plans (GPS ≈ stable-column P_plw).
     */
-  def bigDatalogLite(spark: SparkSession, catalog: Map[String, DataFrame],
-                     constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("BigDatalog-lite", RewriteConfig.bigDatalogLite, ExecConfig(PlanChoice.Auto, nPartitions)))
-
+  val BigDatalogLite: Variant = Variant("BigDatalog-lite", RewriteConfig.bigDatalogLite, PlanChoice.Auto)
   /** Myria-equivalent: evaluation of the query as written (no logical
     * optimization of recursion), no P_plw-style decomposed plan — every
     * recursion step communicates (Sec. VI) — and naive (non-differential)
     * iteration, modeling the engine's poorer scaling on large closures
     * (Figs. 12/14; see DESIGN.md §2).
     */
-  def myriaLite(spark: SparkSession, catalog: Map[String, DataFrame],
-                constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Myria-lite", RewriteConfig.none,
-        ExecConfig(PlanChoice.ForceGld, nPartitions, semiNaive = false)))
+  val MyriaLite: Variant = Variant("Myria-lite", RewriteConfig.none, PlanChoice.ForceGld, semiNaive = false)
+
+  val variants: Seq[Variant] =
+    Seq(DistMuRA, DistMuRAGld, DistMuRAPlwS, DistMuRAPlwPg, BigDatalogLite, MyriaLite)
+
+  def apply(variant: Variant, spark: SparkSession, catalog: Map[String, DataFrame],
+            constants: Map[String, Any], nPartitions: Int): MuRaEngine =
+    new MuRaEngine(spark, catalog, constants, EngineConfig(variant.name, variant.rewrite,
+      ExecConfig(variant.plan, nPartitions, semiNaive = variant.semiNaive)))
+
+  def distMuRA(spark: SparkSession, catalog: Map[String, DataFrame],
+               constants: Map[String, Any], nPartitions: Int): MuRaEngine =
+    Engines(DistMuRA, spark, catalog, constants, nPartitions)
 }

@@ -29,8 +29,8 @@ object PlanChoice {
 }
 
 final case class ExecConfig(
-    plan: PlanChoice = PlanChoice.Auto,
-    nPartitions: Int = 16,
+    plan: PlanChoice,
+    nPartitions: Int,
     maxIters: Int = 100000,
     /** Largest base relation, in rows, that `P_plw` collects to the
       * driver and broadcasts; a fixpoint that reads a larger one runs

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import TestGraphs._
 
@@ -86,5 +87,19 @@ class PropertySpec extends AnyFunSuite {
       }
       asPairs(LocalEval.eval(closureE, env)) == x
     })
+  }
+
+  test("every explored plan of a generated term equals it, under all rules and BigDatalog-lite's") {
+    val cat = Map("E" -> Set("src", "trg"), "S" -> Set("src", "trg"), "V" -> Set("src"))
+    def rows(r: LocalRel): Set[Seq[Any]] = r.aligned(r.cols.sorted).rows.map(_.toSeq).toSet
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(12L))
+    val gen = for (t <- RandomTerms.topped(3); env <- RandomTerms.relations) yield (t, env)
+    val res = SCTest.check(params, Prop.forAll(gen) { case (t, env) =>
+      val expected = rows(LocalEval.eval(t, env))
+      for (cfg <- Seq(RewriteConfig.all, RewriteConfig.bigDatalogLite); p <- Rewriter.explore(t, cat, cfg))
+        assert(rows(LocalEval.eval(p, env)) == expected, s"${t.pretty}\n  explored to\n${p.pretty}")
+      true
+    })
+    assert(res.passed, res.status.toString)
   }
 }

@@ -39,7 +39,7 @@ class DifferentialSpec extends SparkSpec {
         r.aligned(r.cols.sorted).rows.map(_.toSeq).toSet
       }
       val frames = env.map { case (n, r) => n -> frame(r) }
-      val broadcasts = new Broadcasts(spark, frames, ExecConfig().broadcastThreshold)
+      val broadcasts = new Broadcasts(spark, frames, ExecConfig(PlanChoice.Auto, 3).broadcastThreshold)
       choices.foreach { choice =>
         val got = rowsOf(new Executor(spark, frames, ExecConfig(choice, 3, 1000), broadcasts).eval(t),
           s"$choice: ${t.pretty}")

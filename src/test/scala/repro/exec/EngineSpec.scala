@@ -51,16 +51,10 @@ class EngineSpec extends SparkSpec {
     df.select(cols.map(df.col): _*).collect().map(_.toSeq).toSet
   }
 
-  private lazy val engines: Seq[(String, String => org.apache.spark.sql.DataFrame)] = Seq(
-    "Dist-mu-RA" -> Engines.distMuRA(spark, catalog, consts, 4).runQuery _,
-    "Dist-mu-RA (P_gld)" -> Engines.distMuRAGld(spark, catalog, consts, 4).runQuery _,
-    "Dist-mu-RA (P_plw_s)" -> Engines.distMuRAPlwS(spark, catalog, consts, 4).runQuery _,
-    "Dist-mu-RA (P_plw_pg)" -> Engines.distMuRAPlwPg(spark, catalog, consts, 4).runQuery _,
-    "BigDatalog-lite" -> Engines.bigDatalogLite(spark, catalog, consts, 4).runQuery _,
-    "Myria-lite" -> Engines.myriaLite(spark, catalog, consts, 4).runQuery _,
-    "Centralized mu-RA" -> new CentralizedMuRA(spark, catalog, consts).runQuery _,
-    "GraphX" -> ((q: String) => GraphXRPQ.runQuery(spark, gDf, q, consts)),
-  )
+  private lazy val engines: Seq[(String, String => org.apache.spark.sql.DataFrame)] =
+    Engines.variants.map(v => v.name -> Engines(v, spark, catalog, consts, 4).runQuery _) ++ Seq(
+      "Centralized mu-RA" -> new CentralizedMuRA(spark, catalog, consts).runQuery _,
+      "GraphX" -> ((q: String) => GraphXRPQ.runQuery(spark, gDf, q, consts)))
 
   for ((cls, q) <- queries; (engName, run) <- engines) {
     test(s"$cls [$q] on $engName") {
@@ -81,7 +75,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("BigDatalog-lite cannot push the C2 filter (stays outside the fixpoint)") {
-    val eng = Engines.bigDatalogLite(spark, catalog, consts, 4)
+    val eng = Engines(Engines.BigDatalogLite, spark, catalog, consts, 4)
     val plan = eng.plan("?x <- ?x a+ N3")
     def fixHasFilter(t: Term): Boolean = t match {
       case f: Fix => Term.unionBranches(f.body).exists { b =>
@@ -103,7 +97,7 @@ class EngineSpec extends SparkSpec {
     }
     val distEng = Engines.distMuRA(spark, catalog, consts, 4)
     val distPlan = distEng.plan("?x,?y <- ?x a+/b+ ?y")
-    val bdPlan = Engines.bigDatalogLite(spark, catalog, consts, 4).plan("?x,?y <- ?x a+/b+ ?y")
+    val bdPlan = Engines(Engines.BigDatalogLite, spark, catalog, consts, 4).plan("?x,?y <- ?x a+/b+ ?y")
     // Dist-μ-RA's plan uses merge/push-join: no join of two materialized
     // closures (the chosen plan nests one fixpoint in the other's base or
     // merges them into a single fixpoint — the paper's "mixture").
@@ -139,7 +133,7 @@ class EngineSpec extends SparkSpec {
     val t = Term.closure(Rel("D"))
     def error(run: => Unit): String = intercept[MuRaError](run).getMessage
     assert(error(new CentralizedMuRA(spark, cat, Map.empty).run(t).collect()).contains("DateType"))
-    assert(error(Engines.distMuRAPlwPg(spark, cat, Map.empty, 2).run(t).collect()).contains("DateType"))
+    assert(error(Engines(Engines.DistMuRAPlwPg, spark, cat, Map.empty, 2).run(t).collect()).contains("DateType"))
   }
 
   test("Centralized mu-RA returns a BooleanType column with the same schema and rows as Dist-mu-RA") {

@@ -56,7 +56,7 @@ class ExecutorSpec extends SparkSpec {
 
   test("column-equality filter") {
     val withLoop = edgeDf(spark, paperE + ((3L, 3L)))
-    val ex = new Executor(spark, Map("E" -> withLoop), ExecConfig())
+    val ex = new Executor(spark, Map("E" -> withLoop), ExecConfig(PlanChoice.Auto, 4))
     assert(toPairs(ex.eval(Filter(EqCols("src", "trg"), Rel("E")))) == Set((3L, 3L)))
   }
 

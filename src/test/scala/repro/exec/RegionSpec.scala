@@ -186,8 +186,10 @@ class RegionSpec extends SparkSpec {
   }
 
   test("concat n3: no Spark job while building, at most two to count; broadcast once, not in warmup") {
-    for (engine <- Seq(Engines.distMuRA _, Engines.distMuRAPlwPg _)) {
-      val eng = engine(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+    // Every variant whose fixpoints may run as a region: a forced P_gld
+    // loop runs Spark jobs while it builds.
+    for (v <- Engines.variants if v.plan != PlanChoice.ForceGld) {
+      val eng = Engines(v, spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
       eng.warmup()
       val plan = eng.plan(PaperQueries.concatClosure(labels))
       val (_, firstBuild) = SparkJobs.during(spark)(eng.execute(plan))

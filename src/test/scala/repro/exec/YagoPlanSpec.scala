@@ -17,7 +17,7 @@ class YagoPlanSpec extends SparkSpec {
     g.edges.cache().count()
     val cat = Map(Query2Mu.GraphRel -> g.edges)
     val dist = Engines.distMuRA(spark, cat, g.constants, 8)
-    val bd = Engines.bigDatalogLite(spark, cat, g.constants, 8)
+    val bd = Engines(Engines.BigDatalogLite, spark, cat, g.constants, 8)
     dist.warmup(); bd.warmup()
     for (qid <- Seq("Q17", "Q10", "Q20", "Q9")) {
       val q = PaperQueries.yago.find(_.id == qid).get.query
