@@ -30,7 +30,7 @@ final class CentralizedMuRA(spark: SparkSession,
     val rows = q.copy(sql = s"SELECT DISTINCT * FROM (${q.sql}) AS q").run { (n, cols) =>
       catalog(n).select(cols.map(col): _*).collect().map(_.toSeq)
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), q.schema)
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, spark.sparkContext.defaultParallelism), q.schema)
   }
 
   def runQuery(query: String): DataFrame =

@@ -165,12 +165,21 @@ object Experiments {
   private def graphX(spark: SparkSession, edges: DataFrame, constants: Map[String, Any]): Contender =
     Contender("GraphX", q => GraphXRPQ.runQuery(spark, edges, q, constants))
 
-  /** Prepare every contender and run `warmQuery` once on each (JIT and
-    * codegen), untimed; then time every query on every contender.
+  /** Variant `v` answering each id of `terms` with its term and catalog. */
+  private def termContender(spark: SparkSession, v: Engines.Variant,
+                            terms: Seq[(String, Map[String, DataFrame], Term)]): Contender = {
+    val engines = terms.map { case (id, cat, t) => id -> (engine(spark, v, cat, Map.empty), t) }.toMap
+    Contender(v.name, id => engines(id)._1.run(engines(id)._2), () => engines.values.foreach(_._1.warmup()))
+  }
+
+  /** Prepare every contender and run each of `warm`, then the first of
+    * `queries`, once on each (JIT and codegen), untimed; then time every
+    * query on every contender.
     */
-  private def measure(spark: SparkSession, contenders: Seq[Contender], warmQuery: String,
+  private def measure(spark: SparkSession, contenders: Seq[Contender], warm: Seq[String],
                       queries: Seq[(String, String)]): Seq[Measurement] = {
-    contenders.foreach { c => c.prepare(); c.runQuery(warmQuery).count() }
+    val warmUp = warm ++ queries.take(1).map(_._2)
+    contenders.foreach { c => c.prepare(); warmUp.foreach(q => timed(spark, c.name, "warm-up")(c.runQuery(q))) }
     for ((id, q) <- queries; c <- contenders) yield timed(spark, c.name, id)(c.runQuery(q))
   }
 
@@ -217,7 +226,7 @@ object Experiments {
     val (cat, consts) = yagoCatalog(spark)
     val cs = Seq(Engines.DistMuRAPlwS, Engines.DistMuRAPlwPg).map(v => contender(engine(spark, v, cat, consts)))
     pivot("Fig. 7 — P_plw implementations on Yago-lite",
-      measure(spark, cs, yagoWarmQuery, fig7Queries.map(q => q.id -> q.query)))
+      measure(spark, cs, Seq(yagoWarmQuery), fig7Queries.map(q => q.id -> q.query)))
   }
 
   /** Fig. 9: running times on Yago across the five systems. */
@@ -227,7 +236,7 @@ object Experiments {
       .map(v => contender(engine(spark, v, cat, consts))) ++
       Seq(centralized(spark, cat, consts), graphX(spark, cat(Query2Mu.GraphRel), consts))
     pivot("Fig. 9 — running times on Yago-lite",
-      measure(spark, cs, yagoWarmQuery, PaperQueries.yago.map(q => q.id -> q.query)),
+      measure(spark, cs, Seq(yagoWarmQuery), PaperQueries.yago.map(q => q.id -> q.query)),
       classes(PaperQueries.yago))
   }
 
@@ -244,7 +253,7 @@ object Experiments {
       Seq(centralized(spark, cat, Map.empty), graphX(spark, gdf, Map.empty))
     val queries = concatKs.map(k => s"n=$k" -> PaperQueries.concatClosure(labels.take(k)))
     pivot(s"Fig. 10 — concatenated closures a1+/../an+ (rnd_${ConcatNodes}_$ConcatP, 10 labels)",
-      measure(spark, cs, "?x,?y <- ?x a0 ?y", queries))
+      measure(spark, cs, Seq("?x,?y <- ?x a0 ?y"), queries))
   }
 
   // ---------------------------------------------- Fig. 11: μ-RA queries
@@ -260,23 +269,18 @@ object Experiments {
       ("anbn", Map("G" -> cached(ab)), MuRaTerms.anbn),
       ("same_generation", Map("R" -> cached(tree)), MuRaTerms.sameGeneration),
       ("reach", Map("R" -> cached(rnd)), MuRaTerms.reach(1L)))
-    val ms = for (v <- Seq(Engines.DistMuRA, Engines.BigDatalogLite); (id, cat, t) <- terms) yield {
-      val e = engine(spark, v, cat, Map.empty)
-      e.warmup()
-      timed(spark, v.name, id)(e.run(t))
-    }
-    pivot("Fig. 11 — general μ-RA terms", ms)
+    val cs = Seq(Engines.DistMuRA, Engines.BigDatalogLite).map(termContender(spark, _, terms))
+    pivot("Fig. 11 — general μ-RA terms", measure(spark, cs, Nil, terms.map(t => t._1 -> t._1)))
   }
 
   // ------------------------------------- Fig. 12: same generation/Myria
 
   def fig12(spark: SparkSession): Table = {
-    val ms = for (n <- Fig12TreeNodes; v <- Seq(Engines.DistMuRA, Engines.MyriaLite)) yield {
-      val e = engine(spark, v, Map("R" -> cached(GraphData.randomTree(spark, n))), Map.empty)
-      e.warmup()
-      timed(spark, v.name, s"tree_$n")(e.run(MuRaTerms.sameGeneration))
-    }
-    pivot("Fig. 12 — same generation vs Myria-lite (random trees)", ms)
+    val terms = Fig12TreeNodes.map(n =>
+      (s"tree_$n", Map("R" -> cached(GraphData.randomTree(spark, n))), MuRaTerms.sameGeneration))
+    val cs = Seq(Engines.DistMuRA, Engines.MyriaLite).map(termContender(spark, _, terms))
+    pivot("Fig. 12 — same generation vs Myria-lite (random trees)",
+      measure(spark, cs, Nil, terms.map(t => t._1 -> t._1)))
   }
 
   // ----------------------------------- Figs. 8, 13, 14: Uniprot workload
@@ -290,7 +294,7 @@ object Experiments {
     val cat = Map(Query2Mu.GraphRel -> cached(g.edges))
     val cs = variants.map(v => contender(engine(spark, v, cat, g.constants))) ++
       (if (withGraphX) Seq(graphX(spark, g.edges, g.constants)) else Nil)
-    measure(spark, cs.map(c => c.copy(name = c.name + suffix)), "?x,?y <- ?x interacts ?y",
+    measure(spark, cs.map(c => c.copy(name = c.name + suffix)), Seq("?x,?y <- ?x interacts ?y"),
       PaperQueries.uniprot.map(q => q.id -> q.query))
   }
 

@@ -139,7 +139,7 @@ object LocalEval {
         val produced = step(phi, delta)
         sameCols(cols, produced.cols)
         total.addAll(produced, cols)
-        delta = total.since(before, cols)
+        delta = total.slice(before, total.size, cols)
       }
       total.result(cols)
     }

@@ -126,7 +126,7 @@ private[core] object RowKey {
   * one array, found through an open-addressing table (linear probing)
   * of row numbers.
   */
-private[core] final class RowSet(arity: Int) {
+final class RowSet(arity: Int) extends Serializable {
   private val all = Array.range(0, arity)
   private var data = new Array[Int](arity * 16)
   private var n = 0
@@ -177,11 +177,11 @@ private[core] final class RowSet(arity: Int) {
     }
   }
 
-  /** The rows added since the set held `from` rows, as `cols`. */
-  def since(from: Int, cols: Vector[String]): Rows =
-    new Rows(cols, n - from, Arrays.copyOfRange(data, from * arity, n * arity))
+  /** The rows added after the first `from` and among the first `until`, as `cols`. */
+  def slice(from: Int, until: Int, cols: Vector[String]): Rows =
+    new Rows(cols, until - from, Arrays.copyOfRange(data, from * arity, until * arity))
 
-  def result(cols: Vector[String]): Rows = since(0, cols)
+  def result(cols: Vector[String]): Rows = slice(0, n, cols)
 }
 
 /** Hash index of `rel` on its columns `on`: each row chained in the

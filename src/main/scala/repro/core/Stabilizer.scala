@@ -74,11 +74,12 @@ object Stabilizer {
     * filter-pushing rules allow: through filters, renames,
     * anti-projections, unions, the left side of an antijoin, every join
     * side that holds all of `cols`, and into the constant part of a
-    * fixpoint on which all of `cols` are stable (the licence of
-    * property (i) above). Each subterm `u` where the selection stops is
+    * fixpoint that `enters` admits and on which all of `cols` are stable
+    * (property (i) above). Each subterm `u` where the selection stops is
     * replaced by `stop(u, cs)`, where `cs` are `cols` as named at `u`.
     */
-  def pushSelection(t: Term, cols: Seq[String], cat: Catalog)(stop: (Term, Seq[String]) => Term): Term = {
+  def pushSelection(t: Term, cols: Seq[String], cat: Catalog, enters: Fix => Boolean = _ => true)
+                   (stop: (Term, Seq[String]) => Term): Term = {
     val m = new Memo(cat)
     def holds(u: Term, cs: Seq[String]): Boolean = cs.toSet.subsetOf(Analysis.sort(u, m, Map.empty))
     def go(u: Term, cs: Seq[String]): Term = u match {
@@ -91,7 +92,7 @@ object Stabilizer {
         val (inL, inR) = (holds(l, cs), holds(r, cs))
         if (inL || inR) Join(if (inL) go(l, cs) else l, if (inR) go(r, cs) else r)
         else stop(u, cs)
-      case fix: Fix if cs.toSet.subsetOf(stableCols(fix, m)) =>
+      case fix: Fix if enters(fix) && cs.toSet.subsetOf(stableCols(fix, m)) =>
         val (constB, varB) = fix.branches
         Fix(fix.x, Term.unionAll(constB.map(go(_, cs)) ++ varB))
       case _ => stop(u, cs)

@@ -50,7 +50,7 @@ final class MuRaEngine(val spark: SparkSession,
     Cost.best(candidates, memo)
   }
 
-  /** Base relations broadcast to `P_plw^s` tasks, shared by every query
+  /** Base relations broadcast to region and `P_gld` tasks, shared by every query
     * of this engine; each is collected on first use, not in [[warmup]].
     */
   val broadcasts: Broadcasts = new Broadcasts(spark, catalog, cfg.exec.broadcastThreshold)

@@ -1,5 +1,6 @@
 package repro.exec
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -32,10 +33,9 @@ final case class ExecConfig(
     plan: PlanChoice,
     nPartitions: Int,
     maxIters: Int = 100000,
-    /** Largest base relation, in rows, that `P_plw` collects to the
-      * driver and broadcasts; a fixpoint that reads a larger one runs
-      * `P_gld` instead, and operators that read one above the fixpoints
-      * run on Catalyst (see [[Broadcasts]]).
+    /** Largest base relation, in rows, collected to the driver and
+      * broadcast to the tasks; a larger one is exchanged into the tasks
+      * instead, never passing through the driver (see [[Broadcasts]]).
       */
     broadcastThreshold: Long = 4000000L,
     /** Semi-naive (differential) iteration: φ applied to the new tuples
@@ -45,9 +45,10 @@ final case class ExecConfig(
     semiNaive: Boolean = true,
 )
 
-/** Base relations collected to the driver and broadcast to `P_plw`
-  * tasks: each at most once, when first needed, and only when it has at
-  * most `maxRows` rows. [[refused]] records why the others were not.
+/** Base relations collected to the driver and broadcast to the tasks:
+  * each at most once, when first needed, and only when it has at most
+  * `maxRows` rows. [[refused]] records why the others, which are
+  * exchanged into the tasks instead, were not.
   *
   * A relation is kept and broadcast only dictionary-encoded, with one
   * dictionary for all of them that only grows: each broadcast carries the
@@ -76,27 +77,25 @@ final class Broadcasts(spark: SparkSession, catalog: Map[String, DataFrame], max
   }
 }
 
-/** The `P_plw` partition a row belongs to, from the values of its
-  * partition columns. Task-side selections and exchanges both use it, so
-  * an exchanged row lands in the task whose selection it passes.
+/** The partition a row belongs to, from the values of its partition
+  * columns. Task-side selections and exchanges (a `HashPartitioner` on
+  * the bucket) both use it, so a row lands in the task it passes.
   */
 private[exec] object Bucket {
   def of(values: Seq[Any], n: Int): Int = Math.floorMod(values.hashCode, n)
-
-  /** Routes a record keyed by its bucket to that partition. */
-  final class Partitioner(n: Int) extends org.apache.spark.Partitioner {
-    def numPartitions: Int = n
-    def getPartition(key: Any): Int = key.asInstanceOf[Int]
-  }
 }
 
-/** Term → DataFrame evaluation. A closed term that holds a fixpoint
-  * runs as one region (see [[region]]) whenever its fixpoints are planned
-  * as `P_plw` and its base relations may be broadcast, so the operators
-  * above the fixpoints run in the region tasks too and the DataFrame is
-  * built once, from the region's rows. Otherwise non-recursive operators
-  * map to Dataset operations (optimized by Catalyst, as in Sec. IV) and
-  * fixpoints run `P_gld`.
+/** One task's part of a `P_gld` loop (a SetRDD partition), encoded with
+  * `dict`: its inputs, its part of `total`, whose first `seen` rows are
+  * this iteration's (later ones add to the set), and `delta`, the new ones.
+  */
+private[exec] final case class GldPart(env: Map[String, Rows], dict: Dict, total: RowSet, seen: Int, delta: Rows)
+
+/** Term → DataFrame evaluation. A closed term that holds a fixpoint runs
+  * through region tasks (see [[region]]), each fixpoint planned `P_gld`
+  * as a SetRDD loop (see [[pGld]]) fed into them, and the DataFrame is
+  * built once, from the rows at the top. Only fixpoint-free terms map to
+  * Dataset operations (optimized by Catalyst, as in Sec. IV).
   */
 final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig,
                      val broadcasts: Broadcasts) {
@@ -106,30 +105,29 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
 
   private val cat: Catalog = env.map { case (n, df) => n -> df.columns.toSet }
 
-  def eval(t: Term): DataFrame = evalRec(t, Map.empty)
+  def eval(t: Term): DataFrame = {
+    def holdsFix(u: Term): Boolean = u.isInstanceOf[Fix] || u.children.exists(holdsFix)
+    if (holdsFix(t)) spark.createDataFrame(rows(t)._2, Executor.schemaOf(t, env)) else evalRec(t)
+  }
 
-  private def evalRec(t: Term, rec: Map[String, DataFrame]): DataFrame = t match {
-    case _ if inRegion(t) =>
-      val (_, rows) = region(t)
-      spark.createDataFrame(rows, Executor.schemaOf(t, env))
+  /** A fixpoint-free closed term on Catalyst. */
+  private def evalRec(t: Term): DataFrame = t match {
     case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
-    case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
-    case Filter(EqConst(c, v), s) => evalRec(s, rec).filter(col(c) === lit(v))
-    case Filter(EqCols(a, b), s)  => evalRec(s, rec).filter(col(a) === col(b))
+    case Filter(EqConst(c, v), s) => evalRec(s).filter(col(c) === lit(v))
+    case Filter(EqCols(a, b), s)  => evalRec(s).filter(col(a) === col(b))
     case Join(l, r) =>
-      val dl = evalRec(l, rec); val dr = evalRec(r, rec)
+      val dl = evalRec(l); val dr = evalRec(r)
       val common = dl.columns.toSet intersect dr.columns.toSet
       if (common.isEmpty) dl.crossJoin(dr) else dl.join(dr, common.toSeq.sorted)
     case Antijoin(l, r) =>
-      val dl = evalRec(l, rec); val dr = evalRec(r, rec)
+      val dl = evalRec(l); val dr = evalRec(r)
       val common = dl.columns.toSet intersect dr.columns.toSet
       if (common.nonEmpty) dl.join(dr, common.toSeq.sorted, "left_anti")
       else dl.join(dr.limit(1), lit(true), "left_anti") // l when r is empty, else ∅
-    case Union(l, r) =>
-      evalRec(l, rec).unionByName(evalRec(r, rec)).distinct()
-    case AntiProj(c, s) => evalRec(s, rec).drop(c).distinct()
-    case Rename(f, to, s) => evalRec(s, rec).withColumnRenamed(f, to)
-    case fix: Fix => evalFix(fix, rec)
+    case Union(l, r) => evalRec(l).unionByName(evalRec(r)).distinct()
+    case AntiProj(c, s) => evalRec(s).drop(c).distinct()
+    case Rename(f, to, s) => evalRec(s).withColumnRenamed(f, to)
+    case u => throw MuRaError(s"not a closed fixpoint-free term: ${u.pretty}")
   }
 
   // -------------------------------------------------------------------
@@ -146,87 +144,92 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     case PlanChoice.ForceGld                          => false
   }
 
-  /** Whether the closed term `t` runs as a region: it holds a fixpoint,
-    * each of its outermost fixpoints is [[planned]] as `P_plw`, and every
-    * base relation it reads may be broadcast; otherwise
-    * [[Broadcasts.refused]] holds the reason. A fixpoint-free term never
-    * asks for a broadcast.
+  /** The rows of a closed term, columns sorted: of a fixpoint planned
+    * `P_gld` from its loop, of a base relation as is, else of a region.
     */
-  private def inRegion(t: Term): Boolean = {
-    def outerFixes(u: Term): List[Fix] = u match {
-      case f: Fix => List(f)
-      case _      => u.children.flatMap(outerFixes)
+  private def rows(t: Term): (Vector[String], RDD[Row]) = t match {
+    case fix: Fix if !planned(fix) => pGld(fix)
+    case Rel(n) => val cols = env(n).columns.toVector.sorted; (cols, env(n).select(cols.map(col): _*).rdd)
+    case _ => region(t)
+  }
+
+  /** The inputs of one task set, a region's or a `P_gld` loop's, each
+    * bound to a fresh name in the task: a term, and the columns whose
+    * bucket selects the task's rows (None: every task gets every row). A
+    * fixpoint, or a base relation that [[Broadcasts]] refuses, is
+    * exchanged into the tasks, its rows from [[rows]]; any other input is
+    * a slice, evaluated in each task against the broadcasts.
+    */
+  private final class Inputs {
+    private val names = mutable.LinkedHashMap.empty[(Term, Option[Seq[String]]), String]
+
+    private def input(u: Term, on: Option[Seq[String]]): Term =
+      Rel(names.getOrElseUpdate((u, on), s"__in_${names.size}"))
+
+    private def exchanged(u: Term): Boolean = u match {
+      case _: Fix => true
+      case Rel(n) => env.contains(n) && broadcasts(n).isLeft
+      case _      => false
     }
-    val fixes = outerFixes(t)
-    fixes.nonEmpty && t.freeRecVars.isEmpty && fixes.forall(planned) &&
-      t.freeRels.forall(n => broadcasts(n).isRight)
-  }
 
-  /** `P_gld` for a fixpoint that does not run as a region. */
-  private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame = {
-    val (constT, varB) = Analysis.decompose(fix)
-    val rDf = evalRec(constT, rec).distinct()
-    if (varB.isEmpty) rDf
-    else {
-      // Materialize constant subterms of φ that contain fixpoints so they
-      // are computed once, not per iteration.
-      val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
-      pGld(rDf, fix.x, Term.unionAll(phiBranches), hoisted)
+    def terms: Map[String, Term] = names.map { case ((u, _), name) => name -> u }.toMap
+
+    /** `u` with each fixpoint the selection did not enter, and each
+      * refused base relation, replaced by an input every task gets whole.
+      */
+    def localize(u: Term): Term = u match {
+      case f: Fix if f.freeRels.exists(r => names.valuesIterator.contains(r)) => f.mapChildren(localize)
+      case _ if exchanged(u) => input(u, None)
+      case _                 => u.mapChildren(localize)
     }
-  }
 
-  /** Replace maximal constant subterms of φ that contain a fixpoint by
-    * fresh relation names bound to materialized DataFrames.
-    */
-  private def hoistConstants(branches: List[Term], x: String,
-                             rec: Map[String, DataFrame]): (List[Term], Map[String, DataFrame]) = {
-    var extra = Map.empty[String, DataFrame]
-    def containsFix(t: Term): Boolean = t.isInstanceOf[Fix] || t.children.exists(containsFix)
-    def go(t: Term): Term =
-      if (!t.usesRec(x) && containsFix(t)) {
-        val name = s"__hoist_${extra.size}"
-        extra += name -> evalRec(t, rec).localCheckpoint(true)
-        Rel(name)
-      } else t.mapChildren(go)
-    (branches.map(go), extra)
-  }
+    /** `u` with the selection on the bucket of `on` pushed down, into the
+      * fixpoints planned `P_plw` only; each subterm where it stops
+      * becomes an input cut to the task's bucket.
+      */
+    def push(u: Term, on: Seq[String]): Term =
+      Stabilizer.pushSelection(u, on, cat, planned) {
+        case (v, cs) if exchanged(v) => input(v, Some(cs))
+        case (v, cs)                 => input(localize(v), Some(cs))
+      }
 
-  // -------------------------------------------------------------------
-  // P_gld: global loop on the driver (Sec. IV-A1, Algorithm 1)
-  // -------------------------------------------------------------------
-
-  /** Driver-side semi-naive loop over distributed Datasets. Every
-    * iteration performs the distributed joins of φ plus a set-difference
-    * and a union — each a shuffle across the cluster, which is exactly
-    * the communication cost P_plw removes.
-    */
-  private def pGld(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame]): DataFrame = {
-    val cols = rDf.columns.toSeq
-    val e = env ++ extra
-    val relEnv: Map[String, DataFrame] = phi.freeRels.map(n => n -> e(n)).toMap
-    val sub = new Executor(spark, relEnv, cfg)
-    var total = rDf.localCheckpoint(true)
-    var delta = total
-    var iters = 0
-    var done = false
-    while (!done) {
-      if (Thread.interrupted()) throw new InterruptedException("P_gld cancelled")
-      iters += 1
-      if (iters > cfg.maxIters) throw MuRaError(s"P_gld exceeded ${cfg.maxIters} iterations")
-      // Semi-naive applies φ to the delta only (Algorithm 1, sound by
-      // Prop. 1); naive mode re-applies φ to the whole accumulated set.
-      val input = if (cfg.semiNaive) delta else total
-      val produced = sub.evalRec(phi, Map(x -> input)).select(cols.map(col): _*)
-      val fresh = produced.except(total)
-      val newDelta = fresh.localCheckpoint(true)
-      if (newDelta.isEmpty) done = true
-      else {
-        val newTotal = total.union(newDelta).localCheckpoint(true)
-        delta = newDelta
-        total = newTotal
+    /** One element per task of `n`: the inputs of the terms `local`, all
+      * encoded with the dictionary given, the exchanged rows above the
+      * longest of the broadcasts' dictionaries.
+      */
+    def open(n: Int, local: Seq[Term]): RDD[(Map[String, Rows], Dict)] = {
+      val (moved, sliced) = names.toVector.partition { case ((u, _), _) => exchanged(u) }
+      val got = moved.map { case ((u, on), name) => (name, on, rows(u)) }
+      val routed = got.zipWithIndex.map { case ((_, on, (cols, rs)), i) =>
+        on.map(_.map(cols.indexOf)) match {
+          case Some(idx) => rs.map(r => (Bucket.of(idx.map(r.get), n), (i, r)))
+          case None      => rs.flatMap(r => (0 until n).map(k => (k, (i, r))))
+        }
+      }
+      val exchange =
+        if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Row))], n)
+        else spark.sparkContext.union(routed).partitionBy(new HashPartitioner(n))
+      val movedCols = got.map { case (name, _, (cols, _)) => (name, cols) }
+      val slices = sliced.collect { case ((u, Some(cs)), name) => (name, u, cs) }
+      val bases = (local ++ slices.map(_._2)).flatMap(_.freeRels).distinct.filter(env.contains)
+        .map(b => b -> broadcasts(b).fold(why => throw MuRaError(why), identity)).toMap
+      val maxIters = cfg.maxIters
+      exchange.mapPartitionsWithIndex { (k, it) =>
+        val byInput = it.toVector.groupMap(_._2._1)(_._2._2)
+        val base = bases.map { case (b, bc) => b -> bc.value }
+        val longest = base.valuesIterator.map(_._2).maxByOption(_.size).getOrElse(Dict.empty)
+        val (exchanged, dict) = longest.encodeAll(movedCols.zipWithIndex.map { case ((name, cols), i) =>
+          (name, cols, byInput.getOrElse(i, Vector.empty).map(_.toSeq))
+        })
+        var taskEnv = base.map { case (b, (r, _)) => b -> r } ++ exchanged
+        slices.foreach { case (name, u, cs) =>
+          val r = LocalEval.eval(u, taskEnv, dict, maxIters)
+          val idx = cs.map(r.colIdx)
+          taskEnv += name -> r.where(row => Bucket.of(idx.map(i => dict.value(r.code(row, i))), n) == k)
+        }
+        Iterator((taskEnv, dict))
       }
     }
-    total
   }
 
   // -------------------------------------------------------------------
@@ -239,20 +242,13 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * in bucket `k`. [[Stabilizer.pushSelection]] pushes that selection
     * down `t` through renames, filters, anti-projections, unions, the
     * left side of antijoins and the join sides that hold the key, and
-    * into the constant part of every fixpoint on which the key is stable
-    * (Prop. 3), so the operators above the fixpoints and the whole
-    * fixpoint chain run in the same task and no data crosses the cluster
-    * during the recursion. The selection stops
-    *  - at a base relation (or a subterm it cannot enter): the task
-    *    evaluates that subterm against the broadcast base relations and
-    *    keeps its own bucket;
-    *  - at a fixpoint on which the key is not stable: that fixpoint runs
-    *    as its own region and is exchanged into this one by the bucket of
-    *    the key.
-    * A side the selection never reaches (φ, a join side without the key,
-    * the right side of an antijoin) is evaluated whole in every task: its
-    * base relations from the broadcasts, and each of its fixpoints as its
-    * own region sent whole to every task.
+    * into the constant part of every fixpoint planned `P_plw` on which
+    * the key is stable (Prop. 3), so the operators above the fixpoints
+    * and the whole fixpoint chain run in the same task and no data
+    * crosses the cluster during the recursion. Where the selection
+    * stops, the subterm becomes an input cut to the task's bucket; a side
+    * it never reaches (φ, a join side without the key, the right side of
+    * an antijoin) is evaluated whole in every task (see [[Inputs]]).
     *
     * The key is the output column (for a fixpoint, the stable column)
     * whose selection stops at the fewest fixpoints, each counted with the
@@ -269,77 +265,29 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * @return the output columns (sorted) and the rows in that order
     */
   private[exec] def region(t: Term): (Vector[String], RDD[Row]) = {
-    val n = cfg.nPartitions
-    val maxIters = cfg.maxIters
+    val (n, maxIters) = (cfg.nPartitions, cfg.maxIters)
     val cols = Analysis.sort(t, cat).toVector.sorted
     val (key, _) = partitionKey(t)
-
-    // Inputs, each bound to a fresh name in the task: (term, columns whose
-    // bucket selects the task's rows; None = every row).
-    val inputs = mutable.LinkedHashMap.empty[(Term, Option[Seq[String]]), String]
-    def input(u: Term, on: Option[Seq[String]]): Term =
-      Rel(inputs.getOrElseUpdate((u, on), s"__in_${inputs.size}"))
-    def reached(u: Term): Boolean = u.freeRels.exists(r => inputs.valuesIterator.contains(r))
-    def localize(u: Term): Term = u match {
-      case f: Fix if !reached(f) => input(f, None)
-      case _                     => u.mapChildren(localize)
-    }
-    def push(u: Term, on: Seq[String]): Term =
-      Stabilizer.pushSelection(u, on, cat) {
-        case (f: Fix, cs) => input(f, Some(cs))
-        case (v, cs)      => input(localize(v), Some(cs))
-      }
-    val local = localize((t, key) match {
-      case (_, Some(c)) => push(t, Seq(c))
+    val in = new Inputs
+    val local = in.localize((t, key) match {
+      case (_, Some(c)) => in.push(t, Seq(c))
       case (fix: Fix, None) =>
         val (constB, varB) = fix.branches
-        Fix(fix.x, Term.unionAll(constB.map(push(_, cols)) ++ varB))
-      case (_, None) => push(t, cols) // no column: one task holds every row
+        Fix(fix.x, Term.unionAll(constB.map(in.push(_, cols)) ++ varB))
+      case (_, None) => in.push(t, cols) // no column: one task holds every row
     })
-
-    val entries = inputs.toVector.map { case ((u, on), name) => (u, on, name) }
-    val slices = entries.collect { case (u, Some(cs), name) if !u.isInstanceOf[Fix] => (name, u, cs) }
-    val fixes = entries.collect { case (f: Fix, on, name) => (name, on, regionRows(f)) }
-    val routed = fixes.zipWithIndex.map { case ((_, on, (fCols, rows)), i) =>
-      on.map(_.map(fCols.indexOf)) match {
-        case Some(idx) => rows.map(r => (Bucket.of(idx.map(r.get), n), (i, r)))
-        case None      => rows.flatMap(r => (0 until n).map(k => (k, (i, r))))
-      }
-    }
-    val feed =
-      if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Row))], n)
-      else spark.sparkContext.union(routed).partitionBy(new Bucket.Partitioner(n))
-    val fixCols = fixes.map { case (name, _, (fCols, _)) => (name, fCols) }
-    val bases = (local.freeRels ++ slices.flatMap(_._2.freeRels)).filter(env.contains)
-      .map(b => b -> broadcasts(b).fold(why => throw MuRaError(why), identity)).toMap
+    val tasks = in.open(n, Seq(local))
     // Made here, on the driver, so that an unsupported column type fails
     // as a MuRaError when the region is built, not inside a Spark job.
-    val duck = Option.when(cfg.plan == PlanChoice.ForcePlwPg) {
-      DuckDb.compile(local, Executor.schemaOf(_, env, inputs.map { case ((u, _), name) => name -> u }.toMap))
-    }
-
-    // Each task evaluates on codes: the broadcast relations come encoded,
-    // the exchanged rows are encoded here, above the dictionary that
-    // decodes the broadcast ones, and the output is decoded once.
-    val rows = feed.mapPartitionsWithIndex { (k, it) =>
-      val got = it.toVector.groupMap(_._2._1)(_._2._2)
-      val base = bases.map { case (b, bc) => b -> bc.value }
-      val longest = base.valuesIterator.map(_._2).maxByOption(_.size).getOrElse(Dict.empty)
-      val (exchanged, dict) = longest.encodeAll(fixCols.zipWithIndex.map { case ((name, fCols), i) =>
-        (name, fCols, got.getOrElse(i, Vector.empty).map(_.toSeq))
-      })
-      var taskEnv = base.map { case (b, (r, _)) => b -> r } ++ exchanged
-      slices.foreach { case (name, u, cs) =>
-        val r = LocalEval.eval(u, taskEnv, dict, maxIters)
-        val idx = cs.map(r.colIdx)
-        taskEnv += name -> r.where(row => Bucket.of(idx.map(i => dict.value(r.code(row, i))), n) == k)
-      }
+    val duck = Option.when(cfg.plan == PlanChoice.ForcePlwPg)(DuckDb.compile(local, Executor.schemaOf(_, env, in.terms)))
+    // Each task evaluates on codes and decodes its output once.
+    val out = tasks.flatMap { case (taskEnv, dict) =>
       duck match {
         case None    => LocalEval.eval(local, taskEnv, dict, maxIters).decode(dict, cols).map(new GenericRow(_))
         case Some(q) => q.run((name, cs) => taskEnv(name).decode(dict, cs).map(ArraySeq.unsafeWrapArray).toVector).iterator
       }
     }
-    (cols, if (key.nonEmpty) rows else rows.distinct(n))
+    (cols, if (key.nonEmpty) out else out.distinct(n))
   }
 
   /** The partition key of a region over `t` (see [[region]]), None when
@@ -354,25 +302,70 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     }
     candidates.toVector.sorted.map { c =>
       var exchanged = 0
-      Stabilizer.pushSelection(t, Seq(c), cat) {
-        case (f: Fix, _) => exchanged += 1 + partitionKey(f)._2; f
+      Stabilizer.pushSelection(t, Seq(c), cat, planned) {
+        case (f: Fix, _) => exchanged += 1 + (if (planned(f)) partitionKey(f)._2 else 0); f
         case (u, _)      => u
       }
       (Option(c), exchanged)
     }.minByOption(_._2).getOrElse((None, 0))
   }
 
-  /** The rows of a fixpoint that feeds a region, in sorted column order. */
-  private def regionRows(fix: Fix): (Vector[String], RDD[Row]) =
-    if (inRegion(fix)) region(fix)
-    else {
-      val df = evalFix(fix, Map.empty)
-      val cols = df.columns.toVector.sorted
-      (cols, df.select(cols.map(col): _*).rdd)
+  // -------------------------------------------------------------------
+  // P_gld: global loop (Sec. IV-A1, Algorithm 1) as a SetRDD loop
+  // -------------------------------------------------------------------
+
+  /** `P_gld` for `fix`: `total` is an RDD of row sets ([[GldPart]]), task
+    * `k` holding whole-row bucket `k` of the constant part and then of
+    * each iteration. An iteration runs one Spark job, the count of the new
+    * delta, and one exchange: each task applies φ with [[LocalEval]], X
+    * bound to its delta (its part of `total` when iteration is naive), and
+    * sends each row to its whole-row bucket, whose task keeps those not
+    * yet in `total`. Lineage is cut every iteration.
+    */
+  private def pGld(fix: Fix): (Vector[String], RDD[Row]) = {
+    val (constB, varB) = fix.branches
+    if (varB.isEmpty) return region(Term.unionAll(constB))
+    val (n, maxIters, semiNaive) = (cfg.nPartitions, cfg.maxIters, cfg.semiNaive)
+    val cols = Analysis.sort(fix, cat).toVector.sorted
+    val in = new Inputs
+    val r0 = in.localize(Term.unionAll(constB.map(in.push(_, cols))))
+    val phi = in.localize(Analysis.substRec(Term.unionAll(varB), fix.x, Rel(Executor.Delta)))
+    var parts = in.open(n, Seq(r0, phi)).map { case (taskEnv, dict) =>
+      val total = new RowSet(cols.length)
+      total.addAll(LocalEval.eval(r0, taskEnv, dict, maxIters), cols)
+      GldPart(taskEnv, dict, total, total.size, total.result(cols))
+    }.persist()
+    var (iters, fresh) = (0, 1L)
+    while (fresh > 0) {
+      if (Thread.interrupted()) throw new InterruptedException("P_gld cancelled")
+      iters += 1
+      if (iters > maxIters) throw MuRaError(s"P_gld exceeded $maxIters iterations")
+      val sent = parts.flatMap { p =>
+        val x = if (semiNaive) p.delta else p.total.slice(0, p.seen, cols)
+        LocalEval.eval(phi, p.env + (Executor.Delta -> x), p.dict, maxIters).decode(p.dict, cols)
+          .map(r => (Bucket.of(ArraySeq.unsafeWrapArray(r), n), r))
+      }.partitionBy(new HashPartitioner(n))
+      val next = parts.zipPartitions(sent) { (ps, got) =>
+        val p = ps.next()
+        val (received, dict) = p.dict.encode(cols, got.map(r => ArraySeq.unsafeWrapArray(r._2)))
+        // A task run again finds `total` grown by its first run: start over.
+        val total = if (p.total.size == p.seen) p.total else new RowSet(cols.length)
+        if (total ne p.total) total.addAll(p.total.slice(0, p.seen, cols), cols)
+        total.addAll(received, cols)
+        Iterator(GldPart(p.env, dict, total, total.size, total.slice(p.seen, total.size, cols)))
+      }.localCheckpoint()
+      fresh = next.map(_.delta.size.toLong).fold(0L)(_ + _)
+      parts.unpersist(blocking = false)
+      parts = next
     }
+    (cols, parts.flatMap(p => p.total.slice(0, p.seen, cols).decode(p.dict, cols).map(new GenericRow(_))))
+  }
 }
 
 object Executor {
+
+  /** The name φ's recursive variable takes in a `P_gld` task. */
+  private val Delta = "__delta"
 
   /** Spark schema of `t`, its columns sorted: the typed sort, with types
     * from the relations in `env`. `in` gives the term each of a region's

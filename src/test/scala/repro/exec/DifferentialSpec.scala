@@ -10,8 +10,9 @@ import repro.core._
 /** Differential check of the executor: random well-sorted terms, each a
   * closure under a join, union, anti-projection or filter (so that the
   * operators above the fixpoint run in the region tasks), evaluated by
-  * [[Executor.eval]] under every [[PlanChoice]] on 3 partitions, give
-  * what [[LocalEval]] gives, each row once.
+  * [[Executor.eval]] under every [[PlanChoice]], and under Myria-lite's
+  * naive `P_gld` loop, on 3 partitions, give what [[LocalEval]] gives,
+  * each row once.
   */
 class DifferentialSpec extends SparkSpec {
 
@@ -27,7 +28,8 @@ class DifferentialSpec extends SparkSpec {
     rows.toSet
   }
 
-  private val choices = Seq(PlanChoice.Auto, PlanChoice.ForcePlwS, PlanChoice.ForcePlwPg, PlanChoice.ForceGld)
+  private val configs = Seq(PlanChoice.Auto, PlanChoice.ForcePlwS, PlanChoice.ForcePlwPg, PlanChoice.ForceGld)
+    .map(ExecConfig(_, 3, 1000)) :+ ExecConfig(PlanChoice.ForceGld, 3, 1000, semiNaive = false)
 
   test("random closures under ⋈, ∪, π̃ or σ: every plan choice equals LocalEval (16 cases, n = 3)") {
     val params = SCTest.Parameters.default.withMinSuccessfulTests(16).withInitialSeed(Seed(9L))
@@ -40,10 +42,9 @@ class DifferentialSpec extends SparkSpec {
       }
       val frames = env.map { case (n, r) => n -> frame(r) }
       val broadcasts = new Broadcasts(spark, frames, ExecConfig(PlanChoice.Auto, 3).broadcastThreshold)
-      choices.foreach { choice =>
-        val got = rowsOf(new Executor(spark, frames, ExecConfig(choice, 3, 1000), broadcasts).eval(t),
-          s"$choice: ${t.pretty}")
-        assert(got == expected, s"$choice: ${t.pretty}")
+      configs.foreach { cfg =>
+        val what = s"${cfg.plan}, semiNaive=${cfg.semiNaive}: ${t.pretty}"
+        assert(rowsOf(new Executor(spark, frames, cfg, broadcasts).eval(t), what) == expected, what)
       }
       true
     })

@@ -147,6 +147,8 @@ class EngineSpec extends SparkSpec {
     val dist = Engines.distMuRA(spark, cat, Map.empty, 2).run(t)
     assert(central.schema == dist.schema)
     assert(resultOf(central) == resultOf(dist))
+    val cores = spark.sparkContext.defaultParallelism
+    if (cores > 1) assert(central.rdd.getNumPartitions > 1, s"one partition of $cores cores")
   }
 
   test("engine rejects non-F_cond terms") {

@@ -141,6 +141,24 @@ class ExecutorSpec extends SparkSpec {
     assertThrows[MuRaError](ex.eval(closureE).count())
   }
 
+  test("P_gld runs one Spark job per iteration, semi-naive and naive") {
+    // The closure of a path of L edges takes L iterations: the i-th finds
+    // the paths of i + 1 edges, the L-th finds none.
+    val l = 12
+    val path = edgeDf(spark, (0L until l.toLong).map(i => (i, i + 1)).toSet)
+    for (semiNaive <- Seq(true, false)) {
+      val ex = new Executor(spark, Map("E" -> path), ExecConfig(PlanChoice.ForceGld, 4, semiNaive = semiNaive))
+      ex.broadcasts("E")
+      val (df, build) = SparkJobs.during(spark)(ex.eval(closureE))
+      val (rows, count) = SparkJobs.during(spark)(df.count())
+      assert(rows == l * (l + 1) / 2)
+      // With E broadcast, building runs one job per iteration, the count
+      // of the new delta; counting the result takes at most two more.
+      assert(build <= l, s"semiNaive=$semiNaive: $build jobs to build")
+      assert(build + count <= l + 2, s"semiNaive=$semiNaive: $build + $count jobs")
+    }
+  }
+
   test("P_gld stops when its thread is interrupted") {
     val ex = exec(PlanChoice.ForceGld)
     Thread.currentThread().interrupt()

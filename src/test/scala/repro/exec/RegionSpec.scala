@@ -17,10 +17,10 @@ import repro.ucrpq.Query2Mu
   * per-task results whose union is the plan, on every plan the rewriter
   * finds, and the same per-task results whichever engine runs the tasks;
   * nested fixpoints with another stable column are exchanged in; a base
-  * relation above `broadcastThreshold` falls back to `P_gld`, or, read
-  * only above the fixpoints, to Catalyst there; a fixpoint-free query
-  * collects no base relation; and a warm engine builds a plan without
-  * running a Spark job and counts it with at most two.
+  * relation above `broadcastThreshold` is exchanged in too, on every
+  * plan choice; a fixpoint-free query collects no base relation; and a
+  * warm engine builds a plan without running a Spark job and counts it
+  * with at most two.
   */
 class RegionSpec extends SparkSpec {
 
@@ -30,6 +30,8 @@ class RegionSpec extends SparkSpec {
   private lazy val yago = GraphData.yagoLite(spark, scale = 0.03, seed = 3)
 
   private def yagoQuery(id: String): String = PaperQueries.yago.find(_.id == id).get.query
+
+  private val choices = Seq(PlanChoice.Auto, PlanChoice.ForceGld, PlanChoice.ForcePlwS, PlanChoice.ForcePlwPg)
 
   private def local(g: DataFrame): Map[String, LocalRel] =
     Map(Query2Mu.GraphRel -> LocalRel(g.columns.toVector, g.collect().toVector.map(_.toSeq.toVector)))
@@ -156,7 +158,7 @@ class RegionSpec extends SparkSpec {
     assert(fixBuild > 0, "the base relation is collected for the first region")
   }
 
-  test("a base relation above broadcastThreshold read above the fixpoints: Catalyst top over the region") {
+  test("a base relation above broadcastThreshold read above the fixpoints is exchanged into the region") {
     val big = spark.createDataFrame(
       spark.sparkContext.parallelize((0L until 400L).map(i => Row(i % 40, i)), 2),
       StructType(Seq(StructField("trg", LongType), StructField("z", LongType))))
@@ -165,7 +167,7 @@ class RegionSpec extends SparkSpec {
     val graph = local(concatG)
     val env = graph + ("B" -> LocalRel(Vector("trg", "z"), big.collect().toVector.map(_.toSeq.toVector)))
     assert(concatG.count() < 300)
-    for (choice <- Seq(PlanChoice.Auto, PlanChoice.ForcePlwPg)) {
+    for (choice <- choices) {
       val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG, "B" -> big),
         ExecConfig(choice, 4, 1000, broadcastThreshold = 300))
       assert(rowsOf(ex.eval(t)) == rowsOf(LocalEval.eval(t, env)), choice)
@@ -173,11 +175,11 @@ class RegionSpec extends SparkSpec {
     }
   }
 
-  test("a base relation above broadcastThreshold falls back to P_gld") {
+  test("a base relation above broadcastThreshold under the fixpoints is exchanged into their tasks") {
     val q = PaperQueries.concatClosure(labels)
     val t = Query2Mu.translate(q, Map.empty)
     val plan = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4).optimize(t)
-    for (choice <- Seq(PlanChoice.Auto, PlanChoice.ForcePlwPg)) {
+    for (choice <- choices) {
       val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG),
         ExecConfig(choice, 4, 1000, broadcastThreshold = 5))
       assert(rowsOf(ex.eval(plan)) == rowsOf(LocalEval.eval(t, local(concatG))), choice)
