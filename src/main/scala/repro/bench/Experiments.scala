@@ -46,7 +46,9 @@ object Experiments {
 
   /** The session the runner (and the test suites) use: `SPARK_MASTER`
     * or all local cores, Spark logging at WARN, and broadcast joins off,
-    * so that Catalyst's joins exercise the shuffle path at test scale.
+    * so that the Catalyst plans that remain, the GraphX baseline's joins
+    * of its conjuncts and `table1`'s distinct node count, exercise the
+    * shuffle path at test scale; the engines build none.
     */
   def session(appName: String): SparkSession = {
     val s = SparkSession.builder

@@ -70,9 +70,6 @@ object Analysis {
       s0
   }
 
-  /** Sort of a fixpoint (the `Fix` case of [[sort]]). */
-  def fixSort(fix: Fix, cat: Catalog, rec: RecEnv = Map.empty): Set[String] = sort(fix, cat, rec)
-
   /** Decompose a fixpoint into its constant part R and the list of
     * variable-part branches (Prop. 2, see [[Fix.branches]]). Also
     * verifies that each variable branch vanishes on the empty relation

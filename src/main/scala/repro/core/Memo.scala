@@ -19,7 +19,8 @@ import Analysis.Catalog
   * bindings of its free recursive variables; under F_cond every fixpoint
   * is closed. A computation that throws stores nothing, so the same
   * [[MuRaError]] is thrown again on the next call. A memo lives for one
-  * `MuRaEngine.optimize` call, or for one call of an entry point that
+  * `MuRaEngine.optimize` call, for one `Executor` (one per
+  * `MuRaEngine.execute` call), or for one call of an entry point that
   * takes a catalog (`Analysis.sort`, `Cost.estimate`, …).
   */
 final class Memo(val cat: Catalog, val stats: Map[String, RelStats] = Map.empty) {

@@ -78,9 +78,8 @@ object Stabilizer {
     * (property (i) above). Each subterm `u` where the selection stops is
     * replaced by `stop(u, cs)`, where `cs` are `cols` as named at `u`.
     */
-  def pushSelection(t: Term, cols: Seq[String], cat: Catalog, enters: Fix => Boolean = _ => true)
+  def pushSelection(t: Term, cols: Seq[String], m: Memo, enters: Fix => Boolean = _ => true)
                    (stop: (Term, Seq[String]) => Term): Term = {
-    val m = new Memo(cat)
     def holds(u: Term, cs: Seq[String]): Boolean = cs.toSet.subsetOf(Analysis.sort(u, m, Map.empty))
     def go(u: Term, cs: Seq[String]): Term = u match {
       case Filter(c, s)     => Filter(c, go(s, cs))

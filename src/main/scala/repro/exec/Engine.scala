@@ -55,11 +55,8 @@ final class MuRaEngine(val spark: SparkSession,
     */
   val broadcasts: Broadcasts = new Broadcasts(spark, catalog, cfg.exec.broadcastThreshold)
 
-  /** Execute an (already optimized) plan. */
-  def execute(plan: Term): DataFrame = {
-    val df = new Executor(spark, catalog, cfg.exec, broadcasts).eval(plan)
-    df.select(df.columns.sorted.map(col): _*)
-  }
+  /** Execute an (already optimized) plan; the DataFrame's columns are sorted. */
+  def execute(plan: Term): DataFrame = new Executor(spark, catalog, cfg.exec, broadcasts).eval(plan)
 
   def run(t: Term): DataFrame = execute(optimize(t))
 

@@ -5,12 +5,11 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.GenericRow
-import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.core._
-import repro.core.Analysis.Catalog
 
 /** Which physical plan to use for fixpoints (Sec. IV).
   *
@@ -46,9 +45,10 @@ final case class ExecConfig(
 )
 
 /** Base relations collected to the driver and broadcast to the tasks:
-  * each at most once, when first needed, and only when it has at most
-  * `maxRows` rows. [[refused]] records why the others, which are
-  * exchanged into the tasks instead, were not.
+  * each at most once, when the first plan that reads it is built, with
+  * or without a fixpoint, and only when it has at most `maxRows` rows.
+  * [[refused]] records why the others, which are exchanged into the
+  * tasks instead, were not.
   *
   * A relation is kept and broadcast only dictionary-encoded, with one
   * dictionary for all of them that only grows: each broadcast carries the
@@ -91,11 +91,12 @@ private[exec] object Bucket {
   */
 private[exec] final case class GldPart(env: Map[String, Rows], dict: Dict, total: RowSet, seen: Int, delta: Rows)
 
-/** Term → DataFrame evaluation. A closed term that holds a fixpoint runs
-  * through region tasks (see [[region]]), each fixpoint planned `P_gld`
-  * as a SetRDD loop (see [[pGld]]) fed into them, and the DataFrame is
-  * built once, from the rows at the top. Only fixpoint-free terms map to
-  * Dataset operations (optimized by Catalyst, as in Sec. IV).
+/** Term → DataFrame evaluation. Every closed term runs through region
+  * tasks (see [[region]]), each fixpoint planned `P_gld` as a SetRDD loop
+  * (see [[pGld]]) fed into them, and the DataFrame is built once, from the
+  * rows at the top: no plan maps to Dataset operations. One [[Memo]] holds
+  * the sorts and stable columns of the plans an executor runs; it is
+  * locked while in use, so that threads may share an executor.
   */
 final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig,
                      val broadcasts: Broadcasts) {
@@ -103,32 +104,13 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   def this(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig) =
     this(spark, env, cfg, new Broadcasts(spark, env, cfg.broadcastThreshold))
 
-  private val cat: Catalog = env.map { case (n, df) => n -> df.columns.toSet }
+  private val memo = new Memo(env.map { case (n, df) => n -> df.columns.toSet })
 
-  def eval(t: Term): DataFrame = {
-    def holdsFix(u: Term): Boolean = u.isInstanceOf[Fix] || u.children.exists(holdsFix)
-    if (holdsFix(t)) spark.createDataFrame(rows(t)._2, Executor.schemaOf(t, env)) else evalRec(t)
-  }
+  def eval(t: Term): DataFrame = spark.createDataFrame(rows(t)._2, Executor.schemaOf(t, env))
 
-  /** A fixpoint-free closed term on Catalyst. */
-  private def evalRec(t: Term): DataFrame = t match {
-    case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
-    case Filter(EqConst(c, v), s) => evalRec(s).filter(col(c) === lit(v))
-    case Filter(EqCols(a, b), s)  => evalRec(s).filter(col(a) === col(b))
-    case Join(l, r) =>
-      val dl = evalRec(l); val dr = evalRec(r)
-      val common = dl.columns.toSet intersect dr.columns.toSet
-      if (common.isEmpty) dl.crossJoin(dr) else dl.join(dr, common.toSeq.sorted)
-    case Antijoin(l, r) =>
-      val dl = evalRec(l); val dr = evalRec(r)
-      val common = dl.columns.toSet intersect dr.columns.toSet
-      if (common.nonEmpty) dl.join(dr, common.toSeq.sorted, "left_anti")
-      else dl.join(dr.limit(1), lit(true), "left_anti") // l when r is empty, else ∅
-    case Union(l, r) => evalRec(l).unionByName(evalRec(r)).distinct()
-    case AntiProj(c, s) => evalRec(s).drop(c).distinct()
-    case Rename(f, to, s) => evalRec(s).withColumnRenamed(f, to)
-    case u => throw MuRaError(s"not a closed fixpoint-free term: ${u.pretty}")
-  }
+  /** The output columns of the closed term `t`, sorted. */
+  private def sortOf(t: Term): Vector[String] =
+    memo.synchronized(Analysis.sort(t, memo, Map.empty)).toVector.sorted
 
   // -------------------------------------------------------------------
   // Plan selection (the PhysicalPlanGenerator of Sec. IV-B)
@@ -140,8 +122,8 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     */
   private def planned(fix: Fix): Boolean = cfg.plan match {
     case PlanChoice.ForcePlwS | PlanChoice.ForcePlwPg => true
-    case PlanChoice.Auto                              => Stabilizer.stableCols(fix, cat).nonEmpty
-    case PlanChoice.ForceGld                          => false
+    case PlanChoice.Auto     => memo.synchronized(Stabilizer.stableCols(fix, memo)).nonEmpty
+    case PlanChoice.ForceGld => false
   }
 
   /** The rows of a closed term, columns sorted: of a fixpoint planned
@@ -187,11 +169,12 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       * fixpoints planned `P_plw` only; each subterm where it stops
       * becomes an input cut to the task's bucket.
       */
-    def push(u: Term, on: Seq[String]): Term =
-      Stabilizer.pushSelection(u, on, cat, planned) {
+    def push(u: Term, on: Seq[String]): Term = memo.synchronized {
+      Stabilizer.pushSelection(u, on, memo, planned) {
         case (v, cs) if exchanged(v) => input(v, Some(cs))
         case (v, cs)                 => input(localize(v), Some(cs))
       }
+    }
 
     /** One element per task of `n`: the inputs of the terms `local`, all
       * encoded with the dictionary given, the exchanged rows above the
@@ -266,7 +249,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     */
   private[exec] def region(t: Term): (Vector[String], RDD[Row]) = {
     val (n, maxIters) = (cfg.nPartitions, cfg.maxIters)
-    val cols = Analysis.sort(t, cat).toVector.sorted
+    val cols = sortOf(t)
     val (key, _) = partitionKey(t)
     val in = new Inputs
     val local = in.localize((t, key) match {
@@ -295,14 +278,14 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * number of fixpoints exchanged into the region with that key, those
     * exchanged into their own regions included.
     */
-  private def partitionKey(t: Term): (Option[String], Int) = {
+  private def partitionKey(t: Term): (Option[String], Int) = memo.synchronized {
     val candidates = t match {
-      case fix: Fix => Stabilizer.stableCols(fix, cat)
-      case _        => Analysis.sort(t, cat)
+      case fix: Fix => Stabilizer.stableCols(fix, memo)
+      case _        => Analysis.sort(t, memo, Map.empty)
     }
     candidates.toVector.sorted.map { c =>
       var exchanged = 0
-      Stabilizer.pushSelection(t, Seq(c), cat, planned) {
+      Stabilizer.pushSelection(t, Seq(c), memo, planned) {
         case (f: Fix, _) => exchanged += 1 + (if (planned(f)) partitionKey(f)._2 else 0); f
         case (u, _)      => u
       }
@@ -326,7 +309,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     val (constB, varB) = fix.branches
     if (varB.isEmpty) return region(Term.unionAll(constB))
     val (n, maxIters, semiNaive) = (cfg.nPartitions, cfg.maxIters, cfg.semiNaive)
-    val cols = Analysis.sort(fix, cat).toVector.sorted
+    val cols = sortOf(fix)
     val in = new Inputs
     val r0 = in.localize(Term.unionAll(constB.map(in.push(_, cols))))
     val phi = in.localize(Analysis.substRec(Term.unionAll(varB), fix.x, Rel(Executor.Delta)))

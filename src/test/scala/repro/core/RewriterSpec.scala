@@ -183,7 +183,7 @@ class RewriterSpec extends AnyFunSuite {
     val t = AntiProj("src", Term.closure(Rel("E"), "X"))
     val plans = assertAllPlansEquivalent(t)
     val pushed = plans.exists {
-      case f: Fix => Analysis.fixSort(f, cat) == Set("trg")
+      case f: Fix => Analysis.sort(f, cat) == Set("trg")
       case _      => false
     }
     assert(pushed, plans.map(_.pretty).mkString("\n"))

@@ -39,7 +39,7 @@ class StabilizerSpec extends AnyFunSuite {
       Rename("src", "c", Rel("E"))))
     val base = Join(Rename("trg", "m", Rel("S")), Rename("src", "m", Rel("E")))
     val fix = Fix("X", Union(base, step))
-    assert(Analysis.fixSort(fix, cat) == Set("src", "m", "trg"))
+    assert(Analysis.sort(fix, cat) == Set("src", "m", "trg"))
     assert(Stabilizer.stableCols(fix, cat) == Set("src", "m"))
   }
 

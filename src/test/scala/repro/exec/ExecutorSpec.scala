@@ -5,8 +5,8 @@ import repro.SparkTestData._
 import repro.core._
 import repro.core.TestGraphs._
 
-/** Distributed execution of μ-RA terms: non-recursive operators on
-  * Datasets and all three fixpoint physical plans (P_gld, P_plw^s,
+/** Distributed execution of μ-RA terms: non-recursive operators, which
+  * run as regions, and all three fixpoint physical plans (P_gld, P_plw^s,
   * P_plw^pg), cross-checked against the in-memory evaluator and the
   * DuckDB oracle with independently hand-written recursive SQL.
   */
@@ -43,6 +43,9 @@ class ExecutorSpec extends SparkSpec {
     val right = Rename("src", "a", Rename("trg", "b", Rel("S")))
     val empty = Filter(EqConst("a", -1L), right)
     val ex = exec(PlanChoice.Auto)
+    ex.broadcasts("E")
+    ex.broadcasts("S")
+    // With E and S broadcast, building runs no job unless it evaluates a side.
     val (keep, jobs) = SparkJobs.during(spark)(ex.eval(Antijoin(Rel("E"), empty)))
     assert(jobs == 0)
     assert(toPairs(keep) == paperE)

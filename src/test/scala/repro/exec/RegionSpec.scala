@@ -2,6 +2,7 @@ package repro.exec
 
 import java.util.concurrent.Executors
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import scala.collection.mutable
 import scala.concurrent.{Await, ExecutionContext, Future}
@@ -18,9 +19,10 @@ import repro.ucrpq.Query2Mu
   * finds, and the same per-task results whichever engine runs the tasks;
   * nested fixpoints with another stable column are exchanged in; a base
   * relation above `broadcastThreshold` is exchanged in too, on every
-  * plan choice; a fixpoint-free query collects no base relation; and a
-  * warm engine builds a plan without running a Spark job and counts it
-  * with at most two.
+  * plan choice; a fixpoint-free query runs as a region too; `execute`
+  * returns a DataFrame that only scans the rows; and a warm engine
+  * builds a plan without running a Spark job and counts it with at most
+  * two.
   */
 class RegionSpec extends SparkSpec {
 
@@ -117,7 +119,7 @@ class RegionSpec extends SparkSpec {
     val key = Stabilizer.stableCols(fix, cat).toSeq.sorted.take(1)
     val found = mutable.ArrayBuffer.empty[Term]
     Term.unionBranches(fix.body).filterNot(_.usesRec(fix.x)).foreach { b =>
-      Stabilizer.pushSelection(b, key, cat) { (u, _) => found += u; u }
+      Stabilizer.pushSelection(b, key, new Memo(cat)) { (u, _) => found += u; u }
     }
     found.toSeq
   }
@@ -148,14 +150,26 @@ class RegionSpec extends SparkSpec {
     }
   }
 
-  test("a fixpoint-free query runs no broadcast collect; the first fixpoint query does") {
+  test("a fixpoint-free query runs as a region") {
     val eng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
     eng.warmup()
-    val (df, build) = SparkJobs.during(spark)(eng.execute(eng.plan("?x,?y <- ?x a0 ?y")))
+    val q = "?x,?y <- ?x a0 ?y"
+    val plan = eng.plan(q)
+    val (_, firstBuild) = SparkJobs.during(spark)(eng.execute(plan))
+    assert(firstBuild > 0, "the first build collects the base relation")
+    val (df, build) = SparkJobs.during(spark)(eng.execute(plan))
+    val (_, count) = SparkJobs.during(spark)(df.count())
     assert(build == 0)
-    assert(df.count() > 0)
-    val (_, fixBuild) = SparkJobs.during(spark)(eng.execute(eng.plan(PaperQueries.concatClosure(labels))))
-    assert(fixBuild > 0, "the base relation is collected for the first region")
+    assert(count <= 2, s"$count jobs")
+    assert(rowsOf(df) == rowsOf(LocalEval.eval(Query2Mu.translate(q, Map.empty), local(concatG))))
+  }
+
+  test("execute returns a single scan of the rows, with no Join, Filter, Aggregate or Project node") {
+    val eng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+    for (q <- Seq("?x,?y <- ?x a0/a1 ?y", PaperQueries.concatClosure(labels))) {
+      val logical = eng.runQuery(q).queryExecution.logical
+      assert(logical.isInstanceOf[LogicalRDD], s"$q:\n$logical")
+    }
   }
 
   test("a base relation above broadcastThreshold read above the fixpoints is exchanged into the region") {
