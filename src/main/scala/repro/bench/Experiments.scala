@@ -51,7 +51,7 @@ object Experiments {
     * shuffle path at test scale; the engines build none.
     */
   def session(appName: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions", ShufflePartitions.toLong)

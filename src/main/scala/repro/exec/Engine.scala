@@ -29,7 +29,7 @@ final class MuRaEngine(val spark: SparkSession,
   lazy val stats: Map[String, RelStats] =
     catalog.map { case (n, df) =>
       val cols = df.columns
-      val aggs = count(lit(1)).as("__rows") +: cols.map(c => approx_count_distinct(col(c)).as(c))
+      val aggs = count(lit(1)).as("__rows") +: cols.toSeq.map(c => approx_count_distinct(col(c)).as(c))
       val row = df.agg(aggs.head, aggs.tail: _*).head()
       val rows = row.getLong(0).toDouble
       n -> RelStats(rows, cols.zipWithIndex.map { case (c, i) => c -> row.getLong(i + 1).toDouble }.toMap)

@@ -138,9 +138,11 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   /** The inputs of one task set, a region's or a `P_gld` loop's, each
     * bound to a fresh name in the task: a term, and the columns whose
     * bucket selects the task's rows (None: every task gets every row). A
-    * fixpoint, or a base relation that [[Broadcasts]] refuses, is
-    * exchanged into the tasks, its rows from [[rows]]; any other input is
-    * a slice, evaluated in each task against the broadcasts.
+    * base relation that [[Broadcasts]] refuses, or a fixpoint that reads
+    * one or that is not planned `P_plw` with every fixpoint inside it, is
+    * exchanged into the tasks, its rows from [[rows]]; so is every
+    * fixpoint under `ForcePlwPg`, whose tasks run on DuckDB. Any other
+    * input is a slice, evaluated once in each task against the broadcasts.
     */
   private final class Inputs {
     private val names = mutable.LinkedHashMap.empty[(Term, Option[Seq[String]]), String]
@@ -149,10 +151,21 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       Rel(names.getOrElseUpdate((u, on), s"__in_${names.size}"))
 
     private def exchanged(u: Term): Boolean = u match {
-      case _: Fix => true
-      case Rel(n) => env.contains(n) && broadcasts(n).isLeft
-      case _      => false
+      case fix: Fix => cfg.plan == PlanChoice.ForcePlwPg || !plw(fix) || fix.freeRels.exists(n => exchanged(Rel(n)))
+      case Rel(n)   => env.contains(n) && broadcasts(n).isLeft
+      case _        => false
     }
+
+    /** Whether `u` and every fixpoint inside it are planned `P_plw`. */
+    private def plw(u: Term): Boolean = (u match {
+      case fix: Fix => planned(fix)
+      case _        => true
+    }) && u.children.forall(plw)
+
+    /** Whether `u` is an input of its own wherever it is met: a fixpoint,
+      * so that a task evaluates it once, or an exchanged base relation.
+      */
+    private def own(u: Term): Boolean = u.isInstanceOf[Fix] || exchanged(u)
 
     def terms: Map[String, Term] = names.map { case ((u, _), name) => name -> u }.toMap
 
@@ -161,8 +174,8 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       */
     def localize(u: Term): Term = u match {
       case f: Fix if f.freeRels.exists(r => names.valuesIterator.contains(r)) => f.mapChildren(localize)
-      case _ if exchanged(u) => input(u, None)
-      case _                 => u.mapChildren(localize)
+      case _ if own(u) => input(u, None)
+      case _           => u.mapChildren(localize)
     }
 
     /** `u` with the selection on the bucket of `on` pushed down, into the
@@ -171,8 +184,8 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       */
     def push(u: Term, on: Seq[String]): Term = memo.synchronized {
       Stabilizer.pushSelection(u, on, memo, planned) {
-        case (v, cs) if exchanged(v) => input(v, Some(cs))
-        case (v, cs)                 => input(localize(v), Some(cs))
+        case (v, cs) if own(v) => input(v, Some(cs))
+        case (v, cs)           => input(localize(v), Some(cs))
       }
     }
 
@@ -193,8 +206,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
         if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Row))], n)
         else spark.sparkContext.union(routed).partitionBy(new HashPartitioner(n))
       val movedCols = got.map { case (name, _, (cols, _)) => (name, cols) }
-      val slices = sliced.collect { case ((u, Some(cs)), name) => (name, u, cs) }
-      val bases = (local ++ slices.map(_._2)).flatMap(_.freeRels).distinct.filter(env.contains)
+      val bases = (local ++ sliced.map(_._1._1)).flatMap(_.freeRels).distinct.filter(env.contains)
         .map(b => b -> broadcasts(b).fold(why => throw MuRaError(why), identity)).toMap
       val maxIters = cfg.maxIters
       exchange.mapPartitionsWithIndex { (k, it) =>
@@ -205,10 +217,12 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
           (name, cols, byInput.getOrElse(i, Vector.empty).map(_.toSeq))
         })
         var taskEnv = base.map { case (b, (r, _)) => b -> r } ++ exchanged
-        slices.foreach { case (name, u, cs) =>
+        sliced.foreach { case ((u, on), name) =>
           val r = LocalEval.eval(u, taskEnv, dict, maxIters)
-          val idx = cs.map(r.colIdx)
-          taskEnv += name -> r.where(row => Bucket.of(idx.map(i => dict.value(r.code(row, i))), n) == k)
+          taskEnv += name -> on.fold(r) { cs =>
+            val idx = cs.map(r.colIdx)
+            r.where(row => Bucket.of(idx.map(i => dict.value(r.code(row, i))), n) == k)
+          }
         }
         Iterator((taskEnv, dict))
       }
@@ -235,8 +249,8 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     *
     * The key is the output column (for a fixpoint, the stable column)
     * whose selection stops at the fewest fixpoints, each counted with the
-    * fixpoints exchanged into its own region, the first in sorted order on
-    * a tie; the tasks' results are then disjoint. A fixpoint with
+    * fixpoints its own region's selection stops at, the first in sorted
+    * order on a tie; the tasks' results are then disjoint. A fixpoint with
     * no stable column (`ForcePlwS`, `ForcePlwPg`) is split by the whole row
     * of its constant part instead, and a final distinct merges the tasks.
     *
@@ -275,8 +289,8 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
 
   /** The partition key of a region over `t` (see [[region]]), None when
     * `t` is a fixpoint with no stable column or has no column, and the
-    * number of fixpoints exchanged into the region with that key, those
-    * exchanged into their own regions included.
+    * number of fixpoints its selection stops at, those their own
+    * regions' selections stop at included.
     */
   private def partitionKey(t: Term): (Option[String], Int) = memo.synchronized {
     val candidates = t match {
@@ -284,12 +298,12 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       case _        => Analysis.sort(t, memo, Map.empty)
     }
     candidates.toVector.sorted.map { c =>
-      var exchanged = 0
+      var stops = 0
       Stabilizer.pushSelection(t, Seq(c), memo, planned) {
-        case (f: Fix, _) => exchanged += 1 + (if (planned(f)) partitionKey(f)._2 else 0); f
+        case (f: Fix, _) => stops += 1 + (if (planned(f)) partitionKey(f)._2 else 0); f
         case (u, _)      => u
       }
-      (Option(c), exchanged)
+      (Option(c), stops)
     }.minByOption(_._2).getOrElse((None, 0))
   }
 
@@ -303,7 +317,9 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * delta, and one exchange: each task applies φ with [[LocalEval]], X
     * bound to its delta (its part of `total` when iteration is naive), and
     * sends each row to its whole-row bucket, whose task keeps those not
-    * yet in `total`. Lineage is cut every iteration.
+    * yet in `total`. Lineage is cut every iteration. A fixpoint in φ is an
+    * input (see [[Inputs]]), evaluated or received once per task, not once
+    * per iteration.
     */
   private def pGld(fix: Fix): (Vector[String], RDD[Row]) = {
     val (constB, varB) = fix.branches

@@ -48,7 +48,7 @@ class EngineSpec extends SparkSpec {
 
   private def resultOf(df: org.apache.spark.sql.DataFrame): Set[Seq[Any]] = {
     val cols = df.columns.sorted
-    df.select(cols.map(df.col): _*).collect().map(_.toSeq).toSet
+    df.select(cols.toSeq.map(df.col): _*).collect().map(_.toSeq).toSet
   }
 
   private lazy val engines: Seq[(String, String => org.apache.spark.sql.DataFrame)] =

@@ -34,7 +34,7 @@ class ExecutorSpec extends SparkSpec {
     assert(toPairs(df) == bruteCompose(paperS, paperE))
   }
 
-  test("antijoin on Datasets") {
+  test("antijoin keeps the left rows with no match on the right") {
     val df = exec(PlanChoice.Auto).eval(Antijoin(Rel("E"), Rel("S")))
     assert(toPairs(df) == paperE -- paperS)
   }
@@ -52,7 +52,7 @@ class ExecutorSpec extends SparkSpec {
     assert(toPairs(ex.eval(Antijoin(Rel("E"), right))).isEmpty)
   }
 
-  test("union deduplicates on Datasets") {
+  test("union deduplicates") {
     val df = exec(PlanChoice.Auto).eval(Union(Rel("E"), Rel("S")))
     assert(df.count() == paperE.size)
   }

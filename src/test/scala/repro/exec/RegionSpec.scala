@@ -17,12 +17,13 @@ import repro.ucrpq.Query2Mu
   * selection pushed down a plan and its fixpoint chain gives disjoint
   * per-task results whose union is the plan, on every plan the rewriter
   * finds, and the same per-task results whichever engine runs the tasks;
-  * nested fixpoints with another stable column are exchanged in; a base
-  * relation above `broadcastThreshold` is exchanged in too, on every
-  * plan choice; a fixpoint-free query runs as a region too; `execute`
-  * returns a DataFrame that only scans the rows; and a warm engine
-  * builds a plan without running a Spark job and counts it with at most
-  * two.
+  * a nested `P_plw` fixpoint over broadcast relations is evaluated in the
+  * tasks, of a region or of a `P_gld` loop, so a warm count runs two
+  * stages; a base relation above `broadcastThreshold` is exchanged in,
+  * on every plan choice; a fixpoint-free query runs as a region too;
+  * `execute` returns a DataFrame that only scans the rows; and a warm
+  * engine builds a plan without running a Spark job and counts it with
+  * at most two.
   */
 class RegionSpec extends SparkSpec {
 
@@ -124,7 +125,7 @@ class RegionSpec extends SparkSpec {
     found.toSeq
   }
 
-  test("concat n3 and Q25: the chosen plan exchanges the inner closure into one region") {
+  test("concat n3 and Q25: the selection stops at one inner closure") {
     val concat = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
     val q25 = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> yago.edges), yago.constants, 4)
     for ((eng, q) <- Seq(concat -> PaperQueries.concatClosure(labels), q25 -> yagoQuery("Q25"))) {
@@ -134,6 +135,48 @@ class RegionSpec extends SparkSpec {
       assert(!Stabilizer.stableCols(fixStops.head, eng.cat).isEmpty)
       assert(rowsOf(eng.execute(plan)) == rowsOf(LocalEval.eval(Query2Mu.translate(q, eng.constants),
         local(eng.catalog(Query2Mu.GraphRel)))))
+    }
+  }
+
+  test("concat n3, Q25, Q16: a warm count runs two Spark stages") {
+    // The inner closure where the selection stops (concat n3, Q25) and
+    // the closure on Q16's join side it never reaches are evaluated in
+    // the region's tasks, not exchanged into them: the count runs the
+    // region's stage and the aggregate's, with no stage of their own.
+    val concat = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> concatG), Map.empty, 4)
+    val yagoEng = Engines.distMuRA(spark, Map(Query2Mu.GraphRel -> yago.edges), yago.constants, 4)
+    concat.warmup()
+    yagoEng.warmup()
+    for ((eng, q) <- Seq(concat -> PaperQueries.concatClosure(labels), yagoEng -> yagoQuery("Q25"),
+                         yagoEng -> yagoQuery("Q16"))) {
+      val plan = eng.plan(q)
+      eng.execute(plan).count()
+      val df = eng.execute(plan)
+      val (_, stages) = SparkJobs.stagesDuring(spark)(df.count())
+      assert(stages == 2, s"$q: $stages stages\n${plan.pretty}")
+      assert(rowsOf(df) == rowsOf(LocalEval.eval(Query2Mu.translate(q, eng.constants),
+        local(eng.catalog(Query2Mu.GraphRel)))), q)
+    }
+  }
+
+  test("P_gld with a P_plw closure in φ equals LocalEval") {
+    // The nodes reached by an a1 edge and then any number of a0+ paths.
+    // X's one column comes from the closure, so X has no stable column
+    // and runs P_gld under Auto; the a0 closure in φ has one, and each
+    // P_gld task evaluates it once against the broadcast.
+    val graph = local(concatG)
+    val edge = (l: String) => AntiProj("pred", Filter(EqConst("pred", l), Rel(Query2Mu.GraphRel)))
+    val inner = Term.closure(edge("a0"), "Y")
+    val step = AntiProj("m", Join(Rename("trg", "m", RecVar("X")), Rename("src", "m", inner)))
+    val fix = Fix("X", Union(AntiProj("src", edge("a1")), step))
+    val cat = Map(Query2Mu.GraphRel -> concatG.columns.toSet)
+    assert(Stabilizer.stableCols(fix, cat).isEmpty)
+    assert(Stabilizer.stableCols(inner.asInstanceOf[Fix], cat).nonEmpty)
+    val expected = rowsOf(LocalEval.eval(fix, graph))
+    assert(expected.size > rowsOf(LocalEval.eval(AntiProj("src", edge("a1")), graph)).size)
+    for (choice <- choices) {
+      val ex = new Executor(spark, Map(Query2Mu.GraphRel -> concatG), ExecConfig(choice, 4, 1000))
+      assert(rowsOf(ex.eval(fix)) == expected, choice)
     }
   }
 
