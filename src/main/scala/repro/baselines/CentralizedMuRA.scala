@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession, ValueRows}
 import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.exec.{DuckDb, Engines, Executor}
@@ -30,7 +30,7 @@ final class CentralizedMuRA(spark: SparkSession,
     val rows = q.copy(sql = s"SELECT DISTINCT * FROM (${q.sql}) AS q").run { (n, cols) =>
       catalog(n).select(cols.map(col): _*).collect().map(_.toSeq)
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, spark.sparkContext.defaultParallelism), q.schema)
+    ValueRows.dataFrame(spark, spark.sparkContext.parallelize(rows, spark.sparkContext.defaultParallelism), q.schema)
   }
 
   def runQuery(query: String): DataFrame =

@@ -126,9 +126,9 @@ object LocalEval {
       */
     private def fixpoint(x: String, r0: Rows, phi: Term): Rows = {
       val cols = r0.cols
-      val step = new Step(x)
       val total = new RowSet(cols.length)
       total.addAll(r0, cols)
+      val step = new Step(x, total, cols)
       var delta = r0
       var iters = 0
       while (!delta.isEmpty) {
@@ -136,22 +136,21 @@ object LocalEval {
         iters += 1
         if (iters > maxIters) throw MuRaError(s"fixpoint exceeded $maxIters iterations")
         val before = total.size
-        val produced = step(phi, delta)
-        sameCols(cols, produced.cols)
-        total.addAll(produced, cols)
+        step.add(phi, delta)
         delta = total.slice(before, total.size, cols)
       }
       total.result(cols)
     }
 
-    /** φ compiled for the loop of one fixpoint: every maximal subterm free
+    /** φ compiled for the loop of one fixpoint, whose rows it adds into
+      * `total`, aligned to its columns `cols`: every maximal subterm free
       * of `x` is evaluated once, and every join or antijoin with an
       * `x`-free side keeps that side's hash index across iterations, so an
       * iteration costs O(|Δ| + output), not O(|constant relations|).
       * Caches are keyed by node identity: φ is the same object on every
       * iteration.
       */
-    private final class Step(x: String) {
+    private final class Step(x: String, total: RowSet, cols: Vector[String]) {
       private val values = new java.util.IdentityHashMap[Term, Rows]()
       private val indexes = new java.util.IdentityHashMap[Term, Index]()
 
@@ -165,6 +164,40 @@ object LocalEval {
           val r = value(side)
           new Index(r, r.cols.filter(otherCols.contains))
         })
+
+      /** Add the rows of `t` on `delta` into `total`, each hashed once: a
+        * union adds each operand, and an anti-projection adds its
+        * operand's rows projected, those of a join with an `x`-free side
+        * as the index finds them, with no join materialised.
+        */
+      def add(t: Term, delta: Rows): Unit = t match {
+        case Union(l, r) => add(l, delta); add(r, delta)
+        case AntiProj(c, j @ Join(l, r)) if !r.usesRec(x) =>
+          val lr = apply(l, delta)
+          addJoined(j, r, lr, c)
+        case AntiProj(c, j @ Join(l, r)) if !l.usesRec(x) =>
+          val rr = apply(r, delta)
+          addJoined(j, l, rr, c)
+        case AntiProj(c, s) =>
+          val r = apply(s, delta)
+          sameCols(cols, r.cols.patch(r.colIdx(c), Nil, 1))
+          total.addAll(r, cols)
+        case _ =>
+          val r = apply(t, delta)
+          sameCols(cols, r.cols)
+          total.addAll(r, cols)
+      }
+
+      /** Add `π̃_c(probe ⋈ side)` into `total`, `side` the `x`-free
+        * operand of `join`.
+        */
+      private def addJoined(join: Term, side: Term, probe: Rows, c: String): Unit = {
+        val idx = index(join, side, probe.cols)
+        val joined = probe.cols ++ idx.extraCols
+        if (!joined.contains(c)) throw MuRaError(s"column $c not in $joined")
+        sameCols(cols, joined.filterNot(_ == c))
+        idx.joinInto(probe, total, cols)
+      }
 
       def apply(t: Term, delta: Rows): Rows = t match {
         case RecVar(`x`) => delta

@@ -20,6 +20,11 @@ final class Dict private (codes: HashMap[Any, Int], private[core] val values: Ve
 
   def value(code: Int): Any = values(code)
 
+  /** The values as an array, indexed by code: made once per dictionary
+    * (and once per JVM it is sent to), not once per decode.
+    */
+  @transient private[core] lazy val valueArray: Array[Any] = values.toArray
+
   /** `rows`, each holding the values of `cols` in that order, as a set of
     * encoded rows (duplicates dropped), and this dictionary grown by the
     * values it did not hold.
@@ -89,7 +94,7 @@ final class Rows(val cols: Vector[String], val size: Int, private[core] val data
   /** The rows as values, each an array of the columns `order` in that order. */
   def decode(dict: Dict, order: Vector[String]): Iterator[Array[Any]] = {
     val idx = order.map(colIdx).toArray
-    val values = dict.values.toArray
+    val values = dict.valueArray
     Iterator.tabulate(size) { i =>
       val row = new Array[Any](idx.length)
       var j = 0
@@ -233,7 +238,41 @@ private[core] final class Index(rel: Rows, on: Vector[String]) {
       }
       a += 1
     }
-    new Rows(probe.cols ++ extra.map(rel.cols), count, out.result())
+    new Rows(probe.cols ++ extraCols, count, out.result())
+  }
+
+  /** The columns a join adds to the probe's: those of `rel` not in `on`. */
+  def extraCols: Vector[String] = extra.toVector.map(rel.cols)
+
+  /** Add each row of `probe ⋈ rel`, its columns `order` in that order,
+    * into `into`, without building the join; `order` names columns of
+    * the join, a strict subset projecting them.
+    */
+  def joinInto(probe: Rows, into: RowSet, order: Vector[String]): Unit = {
+    val pk = on.map(probe.colIdx).toArray
+    val pa = probe.arity
+    // Column j of `order` is probe column from(j) when from(j) >= 0, else
+    // rel column -1 - from(j).
+    val from = order.map { c =>
+      val i = probe.cols.indexOf(c)
+      if (i >= 0) i else -1 - rel.colIdx(c)
+    }.toArray
+    val row = new Array[Int](order.length)
+    var a = 0
+    while (a < probe.size) {
+      val off = a * pa
+      var b = find(heads(RowKey.hash(probe.data, off, pk) & mask), probe.data, off, pk)
+      while (b >= 0) {
+        var j = 0
+        while (j < row.length) {
+          row(j) = if (from(j) >= 0) probe.data(off + from(j)) else rel.data(b * rel.arity - 1 - from(j))
+          j += 1
+        }
+        into.add(row, 0)
+        b = find(next(b), probe.data, off, pk)
+      }
+      a += 1
+    }
   }
 
   /** Antijoin `probe ▷ rel`. With no common columns a non-empty `rel`

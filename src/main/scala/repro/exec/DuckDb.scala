@@ -1,7 +1,6 @@
 package repro.exec
 
 import java.sql.{Connection, DriverManager, ResultSet}
-import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.core.{MuRaError, Rel, Term}
 
@@ -44,12 +43,12 @@ object DuckDb {
     ps.executeBatch(); ps.close()
   }
 
-  /** The remaining rows of `rs`, column `i` read as a Spark value of
-    * type `types(i)`.
+  /** The remaining rows of `rs`, each an array whose value `i` is read
+    * as a Spark value of type `types(i)`.
     */
-  private def rows(rs: ResultSet, types: IndexedSeq[DataType]): Vector[Row] = {
-    val buf = Vector.newBuilder[Row]
-    while (rs.next()) buf += Row.fromSeq(types.indices.map { i =>
+  private def rows(rs: ResultSet, types: IndexedSeq[DataType]): Vector[Array[Any]] = {
+    val buf = Vector.newBuilder[Array[Any]]
+    while (rs.next()) buf += Array.tabulate[Any](types.length) { i =>
       (types(i), rs.getObject(i + 1)) match {
         case (LongType, v: Number)    => v.longValue()
         case (IntegerType, v: Number) => v.intValue()
@@ -58,7 +57,7 @@ object DuckDb {
         case (StringType, v)          => v.toString
         case (_, v)                   => v
       }
-    })
+    }
     buf.result()
   }
 
@@ -69,9 +68,10 @@ object DuckDb {
                          schema: StructType) {
 
     /** Run on a fresh database, each relation `n` loaded from
-      * `rows(n, its columns)`.
+      * `rows(n, its columns)`; each row holds the values of `schema`'s
+      * fields in that order.
       */
-    def run(rows: (String, Vector[String]) => Iterable[Seq[Any]]): Vector[Row] = withConnection { conn =>
+    def run(rows: (String, Vector[String]) => Iterable[Seq[Any]]): Vector[Array[Any]] = withConnection { conn =>
       tables.foreach { case (n, cols, types) => load(conn, table(n), cols, types, rows(n, cols)) }
       DuckDb.rows(conn.createStatement.executeQuery(sql), schema.fields.map(_.dataType).toVector)
     }

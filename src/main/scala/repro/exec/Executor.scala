@@ -3,8 +3,7 @@ package repro.exec
 import org.apache.spark.HashPartitioner
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.GenericRow
+import org.apache.spark.sql.{DataFrame, SparkSession, ValueRows}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import scala.collection.immutable.ArraySeq
@@ -93,8 +92,10 @@ private[exec] final case class GldPart(env: Map[String, Rows], dict: Dict, total
 
 /** Term → DataFrame evaluation. Every closed term runs through region
   * tasks (see [[region]]), each fixpoint planned `P_gld` as a SetRDD loop
-  * (see [[pGld]]) fed into them, and the DataFrame is built once, from the
-  * rows at the top: no plan maps to Dataset operations. One [[Memo]] holds
+  * (see [[pGld]]) fed into them, and the DataFrame is built once, over
+  * the rows at the top as Catalyst holds them ([[ValueRows]]): no plan
+  * maps to Dataset operations. Rows pass between task sets, and leave
+  * them, as arrays of values in the sorted column order. One [[Memo]] holds
   * the sorts and stable columns of the plans an executor runs; it is
   * locked while in use, so that threads may share an executor.
   */
@@ -106,7 +107,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
 
   private val memo = new Memo(env.map { case (n, df) => n -> df.columns.toSet })
 
-  def eval(t: Term): DataFrame = spark.createDataFrame(rows(t)._2, Executor.schemaOf(t, env))
+  def eval(t: Term): DataFrame = ValueRows.dataFrame(spark, rows(t)._2, Executor.schemaOf(t, env))
 
   /** The output columns of the closed term `t`, sorted. */
   private def sortOf(t: Term): Vector[String] =
@@ -129,9 +130,11 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   /** The rows of a closed term, columns sorted: of a fixpoint planned
     * `P_gld` from its loop, of a base relation as is, else of a region.
     */
-  private def rows(t: Term): (Vector[String], RDD[Row]) = t match {
+  private def rows(t: Term): (Vector[String], RDD[Array[Any]]) = t match {
     case fix: Fix if !planned(fix) => pGld(fix)
-    case Rel(n) => val cols = env(n).columns.toVector.sorted; (cols, env(n).select(cols.map(col): _*).rdd)
+    case Rel(n) =>
+      val cols = env(n).columns.toVector.sorted
+      (cols, env(n).select(cols.map(col): _*).rdd.map(_.toSeq.toArray))
     case _ => region(t)
   }
 
@@ -198,12 +201,12 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       val got = moved.map { case ((u, on), name) => (name, on, rows(u)) }
       val routed = got.zipWithIndex.map { case ((_, on, (cols, rs)), i) =>
         on.map(_.map(cols.indexOf)) match {
-          case Some(idx) => rs.map(r => (Bucket.of(idx.map(r.get), n), (i, r)))
+          case Some(idx) => rs.map(r => (Bucket.of(idx.map(r(_)), n), (i, r)))
           case None      => rs.flatMap(r => (0 until n).map(k => (k, (i, r))))
         }
       }
       val exchange =
-        if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Row))], n)
+        if (routed.isEmpty) spark.sparkContext.parallelize(Seq.empty[(Int, (Int, Array[Any]))], n)
         else spark.sparkContext.union(routed).partitionBy(new HashPartitioner(n))
       val movedCols = got.map { case (name, _, (cols, _)) => (name, cols) }
       val bases = (local ++ sliced.map(_._1._1)).flatMap(_.freeRels).distinct.filter(env.contains)
@@ -214,7 +217,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
         val base = bases.map { case (b, bc) => b -> bc.value }
         val longest = base.valuesIterator.map(_._2).maxByOption(_.size).getOrElse(Dict.empty)
         val (exchanged, dict) = longest.encodeAll(movedCols.zipWithIndex.map { case ((name, cols), i) =>
-          (name, cols, byInput.getOrElse(i, Vector.empty).map(_.toSeq))
+          (name, cols, byInput.getOrElse(i, Vector.empty).map(ArraySeq.unsafeWrapArray(_)))
         })
         var taskEnv = base.map { case (b, (r, _)) => b -> r } ++ exchanged
         sliced.foreach { case ((u, on), name) =>
@@ -261,7 +264,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     *
     * @return the output columns (sorted) and the rows in that order
     */
-  private[exec] def region(t: Term): (Vector[String], RDD[Row]) = {
+  private[exec] def region(t: Term): (Vector[String], RDD[Array[Any]]) = {
     val (n, maxIters) = (cfg.nPartitions, cfg.maxIters)
     val cols = sortOf(t)
     val (key, _) = partitionKey(t)
@@ -280,11 +283,12 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     // Each task evaluates on codes and decodes its output once.
     val out = tasks.flatMap { case (taskEnv, dict) =>
       duck match {
-        case None    => LocalEval.eval(local, taskEnv, dict, maxIters).decode(dict, cols).map(new GenericRow(_))
+        case None    => LocalEval.eval(local, taskEnv, dict, maxIters).decode(dict, cols)
         case Some(q) => q.run((name, cs) => taskEnv(name).decode(dict, cs).map(ArraySeq.unsafeWrapArray).toVector).iterator
       }
     }
-    (cols, if (key.nonEmpty) out else out.distinct(n))
+    // Arrays compare by identity: the distinct compares them as sequences.
+    (cols, if (key.nonEmpty) out else out.map(ArraySeq.unsafeWrapArray(_)).distinct(n).map(_.toArray))
   }
 
   /** The partition key of a region over `t` (see [[region]]), None when
@@ -321,7 +325,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     * input (see [[Inputs]]), evaluated or received once per task, not once
     * per iteration.
     */
-  private def pGld(fix: Fix): (Vector[String], RDD[Row]) = {
+  private def pGld(fix: Fix): (Vector[String], RDD[Array[Any]]) = {
     val (constB, varB) = fix.branches
     if (varB.isEmpty) return region(Term.unionAll(constB))
     val (n, maxIters, semiNaive) = (cfg.nPartitions, cfg.maxIters, cfg.semiNaive)
@@ -357,7 +361,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       parts.unpersist(blocking = false)
       parts = next
     }
-    (cols, parts.flatMap(p => p.total.slice(0, p.seen, cols).decode(p.dict, cols).map(new GenericRow(_))))
+    (cols, parts.flatMap(p => p.total.slice(0, p.seen, cols).decode(p.dict, cols)))
   }
 }
 

@@ -95,6 +95,20 @@ class LocalEvalSpec extends AnyFunSuite {
     }
   }
 
+  test("φ's join reaches a pair along several paths: the closure equals brute force, the X-free side right or left") {
+    // Each node of a layer has an edge to each of the next: a pair two
+    // layers apart is reached through each of three middle nodes.
+    val layered = (for (l <- 0 until 3; a <- 0 until 3; b <- 0 until 3) yield (10L * l + a, 10L * (l + 1) + b)).toSet
+    val xFreeRight = Fix("X", Union(Rel("E"),
+      AntiProj("m", Join(Rename("trg", "m", RecVar("X")), Rename("src", "m", Rel("E"))))))
+    val xFreeLeft = Fix("X", Union(Rel("E"),
+      AntiProj("m", Join(Rename("src", "m", Rel("E")), Rename("trg", "m", RecVar("X"))))))
+    val twoSteps = Join(Rename("trg", "m", Rel("E")), Rename("src", "m", Rel("E")))
+    assert(LocalEval.eval(twoSteps, Map("E" -> rel(layered))).size == 3 * bruteCompose(layered, layered).size)
+    for (e <- layered +: (1 to 10).map(seed => randEdges(10, 40, seed)); t <- Seq(xFreeRight, xFreeLeft))
+      assert(asPairs(LocalEval.eval(t, Map("E" -> rel(e)))) == bruteClosure(e), t.pretty)
+  }
+
   test("fixpoint with union constant part") {
     val fix = Fix("X", Union(Union(Rel("S"), Rel("E")),
       AntiProj("c", Join(Rename("trg", "c", RecVar("X")), Rename("src", "c", Rel("E"))))))
@@ -185,6 +199,19 @@ class LocalEvalSpec extends AnyFunSuite {
     assertThrows[MuRaError](LocalEval.eval(Union(AntiProj("trg", Rel("S")), Rel("E")), env))
     val widening = Fix("X", Union(Rel("E"), Join(RecVar("X"), Rename("src", "a", Rename("trg", "b", Rel("S"))))))
     assertThrows[MuRaError](LocalEval.eval(widening, env))
+  }
+
+  test("a fixpoint whose φ is a π̃ leaving columns other than the fixpoint's is a MuRaError") {
+    val ab = Rename("src", "a", Rename("trg", "b", Rel("S")))
+    val steps = Seq(
+      AntiProj("trg", Join(Rename("trg", "m", RecVar("X")), Rename("src", "m", Rel("E")))), // (src, m)
+      AntiProj("trg", Join(Rename("src", "m", Rel("E")), Rename("trg", "m", RecVar("X")))), // (src, m)
+      AntiProj("trg", Join(RecVar("X"), ab)),                                               // (src, a, b)
+      AntiProj("trg", Rename("src", "m", RecVar("X"))))                                     // (m)
+    for (step <- steps) {
+      val e = intercept[MuRaError](LocalEval.eval(Fix("X", Union(Rel("E"), step)), env))
+      assert(e.getMessage.contains("union of different columns"), step.pretty)
+    }
   }
 
   test("an interrupted fixpoint throws InterruptedException") {

@@ -151,6 +151,39 @@ class EngineSpec extends SparkSpec {
     if (cores > 1) assert(central.rdd.getNumPartitions > 1, s"one partition of $cores cores")
   }
 
+  test("execute returns Scala values of each column's type, as LocalEval does, on every plan choice") {
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.types._
+    def df(schema: StructType, rows: Seq[Row]) = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    // Equal numbers of different types (30, 30L, 30.0; 1, 1L; 2, 2L, 2.0)
+    // share a dictionary code, and a code decodes to the first value given it.
+    val people = Seq(Row("ann", 30, 1L, 30.0, true), Row("bob", null, 30L, 1.5, false),
+      Row("cy", 1, 2L, null, null), Row("dan", 2, 3L, 2.0, true))
+    val knows = Seq(Row("ann", "bob"), Row("bob", "cy"), Row("cy", "ann"), Row("cy", "dan"))
+    val p = df(StructType(Seq(StructField("name", StringType), StructField("age", IntegerType),
+      StructField("id", LongType), StructField("score", DoubleType), StructField("adult", BooleanType))), people)
+    val k = df(StructType(Seq(StructField("src", StringType), StructField("trg", StringType))), knows)
+    val cat = Map("P" -> p, "K" -> k)
+    val env = Map("P" -> LocalRel(p.columns.toVector, people.toVector.map(_.toSeq.toVector)),
+      "K" -> LocalRel(k.columns.toVector, knows.toVector.map(_.toSeq.toVector)))
+    // Whom each person reaches by `knows`, with the reached one's columns.
+    val t = Join(Term.closure(Rel("K")), Rename("name", "trg", Rel("P")))
+    val expected = LocalEval.eval(t, env)
+    assert(expected.size == 12)
+    val external: Map[DataType, Class[_]] = Map(StringType -> classOf[String],
+      IntegerType -> classOf[java.lang.Integer], LongType -> classOf[java.lang.Long],
+      DoubleType -> classOf[java.lang.Double], BooleanType -> classOf[java.lang.Boolean])
+    for (v <- Seq(Engines.DistMuRA, Engines.DistMuRAGld, Engines.DistMuRAPlwS, Engines.DistMuRAPlwPg)) {
+      val out = Engines(v, spark, cat, Map.empty, 4).execute(t)
+      assert(out.schema.map(f => f.name -> f.dataType) == Seq("adult" -> BooleanType, "age" -> IntegerType,
+        "id" -> LongType, "score" -> DoubleType, "src" -> StringType, "trg" -> StringType), v.name)
+      val rows = out.collect().toSeq
+      assert(rows.map(_.toSeq).toSet == expected.aligned(out.columns.toVector).rows.toSet, v.name)
+      for (r <- rows; (f, i) <- out.schema.fields.zipWithIndex if !r.isNullAt(i))
+        assert(r.get(i).getClass == external(f.dataType), s"${v.name}: ${f.name} = ${r.get(i)}")
+    }
+  }
+
   test("engine rejects non-F_cond terms") {
     val eng = Engines.distMuRA(spark, catalog, consts, 4)
     assertThrows[MuRaError](

@@ -21,7 +21,7 @@ class ExecutorSpec extends SparkSpec {
 
   // ------------------------------------------------- non-recursive ops
 
-  test("filter, rename, antiproject on Datasets") {
+  test("filter, rename, antiproject") {
     val t = AntiProj("m", Rename("trg", "m", Filter(EqConst("src", 1L), Rel("E"))))
     val df = exec(PlanChoice.Auto).eval(t)
     assert(df.columns.toSeq == Seq("src"))
